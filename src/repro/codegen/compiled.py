@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.codegen.runtime import bind_arguments, build_runtime_namespace
+from repro.codegen.runtime import BindingPlan, bind_arguments, build_runtime_namespace
 from repro.ir import SDFG
 
 
@@ -18,6 +18,10 @@ class CompiledSDFG:
     result container or a dict of results.  The generated source is available
     as ``.source`` for inspection; ``.backend`` names the backend that
     produced the executable (subclasses override it).
+
+    Construction (and unpickling) builds the SDFG's
+    :class:`~repro.codegen.runtime.BindingPlan` once, so calls never walk
+    the IR; the SDFG is treated as frozen from here on.
     """
 
     #: Registry name of the backend that produced this object.
@@ -29,6 +33,7 @@ class CompiledSDFG:
         self.func = func
         self.func_name = func.__name__
         self.result_names = result_names
+        sdfg._binding_plan = BindingPlan(sdfg)
 
     # -- pickling ---------------------------------------------------------
     # The executable function is an exec() product and cannot be pickled;
@@ -44,6 +49,7 @@ class CompiledSDFG:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.sdfg._binding_plan = BindingPlan(self.sdfg)
         namespace = build_runtime_namespace()
         code = compile(self.source, filename=f"<repro:{self.sdfg.name}>", mode="exec")
         exec(code, namespace)

@@ -1,10 +1,11 @@
 """The native ("cython") backend: SDFG segments -> C -> ctypes.
 
-Lowers sequential loop nests, scalar tasklets and small library calls —
-exactly the shapes where the interpreted NumPy backend pays a Python-level
-round trip per element — to C compiled with the system toolchain, while
-everything already fast under NumPy (vectorised maps, BLAS matmuls,
-convolutions) keeps its interpreted emission.  Programs outside the
+Lowers sequential loop nests, scalar tasklets and the library calls with a
+C lowering (rank-1/2 matmuls at any size, full reductions, copies) — the
+shapes where the interpreted NumPy backend pays a Python-level round trip
+per element — to C compiled with the system toolchain, while elements that
+decline (convolutions, batched matmuls, softmax, ...) keep their interpreted
+emission.  Programs outside the
 supported subset decline with
 :class:`~repro.util.errors.UnsupportedFeatureError`, and the pipeline falls
 back to the NumPy backend per program (recorded in the pipeline report).

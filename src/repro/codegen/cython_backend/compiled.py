@@ -34,7 +34,7 @@ from repro.codegen.cython_backend.build import (
 )
 from repro.codegen.cython_backend.emitter import NativeSourceEmitter, render_c_source
 from repro.codegen.cython_backend.lower import CKernel
-from repro.codegen.runtime import bind_arguments, build_runtime_namespace
+from repro.codegen.runtime import BindingPlan, bind_arguments, build_runtime_namespace
 from repro.ir import SDFG
 from repro.obs.clock import monotonic_ns
 from repro.util.errors import CodegenError, UnsupportedFeatureError
@@ -95,6 +95,7 @@ class NativeCompiledSDFG(CompiledSDFG):
     def __setstate__(self, state: dict) -> None:
         so_bytes = state.pop("_so_bytes", None)
         self.__dict__.update(state)
+        self.sdfg._binding_plan = BindingPlan(self.sdfg)
         self.library_path = ensure_shared_object(
             self.c_source, self.digest, so_bytes=so_bytes
         )

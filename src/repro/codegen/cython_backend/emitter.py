@@ -5,9 +5,10 @@
 control-flow tree into maximal *segments* of consecutive elements that lower
 fully to C (see :mod:`repro.codegen.cython_backend.lower`).  Each segment
 becomes one C kernel plus a one-line call in the generated Python driver
-(``__native0(A, B, N)``); everything in between — big BLAS matmuls,
-convolutions, vectorised slice assignments the NumPy backend already runs at
-native speed — is emitted exactly as the parent class would.
+(``__native0(A, B, N)``); everything in between — convolutions, batched
+matmuls and every other element that declines to lower — is emitted exactly
+as the parent class would.  (Rank-1/2 matmuls of any size *do* lower, to
+naive C loops; see :mod:`repro.codegen.cython_backend.lower`.)
 
 Segmentation happens at two granularities:
 

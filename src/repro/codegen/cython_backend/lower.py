@@ -6,14 +6,21 @@ to C.  A :class:`KernelBuilder` turns one segment into one exported C
 function over flat array pointers plus ``int64_t`` scalars — sequential loop
 nests and scalar tasklets (the fig11 non-vectorizable shapes, where the
 interpreted backend pays a Python-bytecode round trip per element) become
-plain C loops, and the small in-loop library calls they contain (dot-product
-``matmul``, full reductions, ``copy``/``relu``/``transpose``) become inlined
-C loops as well.
+plain C loops, and so do the library calls with a C lowering:
+
+* ``matmul`` of ranks (1, 1), (2, 1), (1, 2) and (2, 2) — dot, matrix-vector,
+  vector-matrix and matrix-matrix products — *at any size*, as a naive
+  triple loop with no blocking and no size threshold: a large standalone
+  matmul is lowered too (not left to BLAS), which is why matmul-heavy
+  kernels such as k2mm run several times slower native than under NumPy;
+* full reductions (``reduce_sum``/``reduce_max``/``reduce_min`` without
+  ``axis`` or ``keepdims``);
+* ``copy``, ``relu`` and ``transpose``.
 
 Anything else raises :class:`~repro.codegen.cython_backend.cemit.CLoweringError`
-with a reason; the emitter then leaves that element to the inherited NumPy
-path (large BLAS matmuls, convolutions, softmax stay library calls — calling
-back into NumPy per element would be slower, not faster).
+with a reason, and the emitter leaves that element to the inherited NumPy
+path: batched (rank-3+) matmuls, axis reductions, convolutions, softmax,
+pooling and every other library kind stay NumPy library calls.
 
 Safety rules (decline rather than risk divergence from NumPy semantics):
 

@@ -36,88 +36,131 @@ def build_runtime_namespace() -> dict:
     }
 
 
+class BindingPlan:
+    """Everything :func:`bind_arguments` needs to know about an SDFG,
+    computed once per compiled artifact so that a call only does dict and
+    tuple work over its own arguments (the idea of DaCe's
+    ``CompiledSDFG.fast_call``).
+
+    ``arrays`` maps every container a caller may name to its ndim and the
+    ``(axis, symbol)`` pairs its plain-symbol dimensions infer; ``inputs``
+    lists the non-transient containers in declaration order with their
+    dtype, ndim, shape dims (ints, symbol names or expressions) and the
+    symbols the shape check needs; ``needed`` is every symbol a call must
+    end up with a value for.
+    """
+
+    __slots__ = ("name", "arg_names", "symbols", "arrays", "inputs", "needed")
+
+    def __init__(self, sdfg: SDFG) -> None:
+        self.name = sdfg.name
+        self.arg_names = tuple(sdfg.arg_names)
+        self.symbols = frozenset(sdfg.symbols)
+        self.arrays = {
+            name: (desc.ndim, tuple(
+                (axis, dim.name) for axis, dim in enumerate(desc.shape)
+                if isinstance(dim, Sym)
+            ))
+            for name, desc in sdfg.arrays.items()
+        }
+        self.inputs = tuple(
+            (name, desc.dtype, desc.ndim, tuple(_plan_dim(dim) for dim in desc.shape),
+             frozenset(desc.free_symbols()))
+            for name, desc in sdfg.arrays.items() if not desc.transient
+        )
+        needed = set(sdfg.symbols) | sdfg.free_symbols()  # incl. every shape
+        needed -= {loop.itervar for loop in sdfg.all_loops()}
+        needed -= set(sdfg.arrays)
+        self.needed = frozenset(needed)
+
+
+def _plan_dim(dim):
+    """A shape entry as the call-time check reads it: an ``int``, the name
+    of a plain symbol, or an expression to evaluate."""
+    if isinstance(dim, Sym):
+        return dim.name
+    if isinstance(dim, Expr):
+        return int(evaluate(dim, {})) if not dim.free_symbols() else dim
+    return int(dim)
+
+
+def binding_plan(sdfg: SDFG) -> BindingPlan:
+    """The memoized binding plan of ``sdfg``, built on first use."""
+    plan = sdfg._binding_plan
+    if plan is None:
+        plan = sdfg._binding_plan = BindingPlan(sdfg)
+    return plan
+
+
 def bind_arguments(sdfg: SDFG, args: tuple, kwargs: Mapping[str, object]) -> dict:
     """Bind call arguments to SDFG containers and symbols.
 
     Positional arguments follow ``sdfg.arg_names``; keyword arguments may name
     any container or symbol.  Symbols that are not passed explicitly are
     inferred by matching symbolic array shapes against the actual arguments
-    (the same convenience the DaCe frontend provides).
+    (the same convenience the DaCe frontend provides).  The SDFG's structure
+    is read through its :class:`BindingPlan` (built when the SDFG was
+    compiled, or here on first use), never walked per call.
     """
-    bindings: dict[str, object] = {}
-    if len(args) > len(sdfg.arg_names):
+    plan = binding_plan(sdfg)
+    if len(args) > len(plan.arg_names):
         raise CodegenError(
-            f"{sdfg.name} takes {len(sdfg.arg_names)} arguments, got {len(args)}"
+            f"{plan.name} takes {len(plan.arg_names)} arguments, got {len(args)}"
         )
-    for name, value in zip(sdfg.arg_names, args):
-        bindings[name] = value
+    bindings = dict(zip(plan.arg_names, args))
     for name, value in kwargs.items():
         if name in bindings:
             raise CodegenError(f"Argument {name!r} passed both positionally and by keyword")
         bindings[name] = value
 
-    resolved: dict[str, object] = {}
-    symbol_values: dict[str, int] = {}
-
-    # First pass: record explicitly-passed symbols.
+    # Explicitly-passed symbols first, then symbols inferred from shapes.
+    symbols = plan.symbols
+    symbol_values = {
+        name: int(value) for name, value in bindings.items() if name in symbols
+    }
+    arrays = plan.arrays
     for name, value in bindings.items():
-        if name in sdfg.symbols:
-            symbol_values[name] = int(value)
-
-    # Second pass: infer symbols from array shapes.
-    for name, value in bindings.items():
-        if name not in sdfg.arrays:
+        entry = arrays.get(name)
+        if entry is None:
             continue
-        desc = sdfg.arrays[name]
+        ndim, infer = entry
         actual = np.asarray(value)
-        if actual.ndim != desc.ndim:
+        if actual.ndim != ndim:
             raise CodegenError(
-                f"Argument {name!r} has {actual.ndim} dimensions, expected {desc.ndim}"
+                f"Argument {name!r} has {actual.ndim} dimensions, expected {ndim}"
             )
-        for dim, size in zip(desc.shape, actual.shape):
-            if isinstance(dim, Sym) and dim.name not in symbol_values:
-                symbol_values[dim.name] = int(size)
+        for axis, symbol in infer:
+            if symbol not in symbol_values:
+                symbol_values[symbol] = int(actual.shape[axis])
 
-    # Third pass: coerce containers.
-    for name, desc in sdfg.arrays.items():
-        if desc.transient:
-            continue
+    # Coerce containers; check shapes wherever they are fully determined.
+    resolved: dict[str, object] = {}
+    for name, dtype, ndim, dims, dim_symbols in plan.inputs:
         if name not in bindings:
-            raise CodegenError(f"Missing argument {name!r} for {sdfg.name}")
+            raise CodegenError(f"Missing argument {name!r} for {plan.name}")
         value = bindings[name]
-        if isinstance(value, np.ndarray) and value.dtype == desc.dtype and value.ndim == desc.ndim:
-            resolved[name] = value
-        else:
-            resolved[name] = np.asarray(value, dtype=desc.dtype)
-        # Shape consistency check (where fully concrete).
-        expected = []
-        consistent = True
-        for dim in desc.shape:
-            if isinstance(dim, Expr):
-                if dim.free_symbols() - set(symbol_values):
-                    consistent = False
-                    break
-                expected.append(int(evaluate(dim, symbol_values)))
-            else:
-                expected.append(int(dim))
-        if consistent and tuple(expected) != resolved[name].shape:
-            raise CodegenError(
-                f"Argument {name!r} has shape {resolved[name].shape}, expected {tuple(expected)}"
+        if not (isinstance(value, np.ndarray) and value.dtype == dtype
+                and value.ndim == ndim):
+            value = np.asarray(value, dtype=dtype)
+        resolved[name] = value
+        if symbol_values.keys() >= dim_symbols:
+            expected = tuple(
+                dim if type(dim) is int
+                else symbol_values[dim] if type(dim) is str
+                else int(evaluate(dim, symbol_values))
+                for dim in dims
             )
+            if expected != value.shape:
+                raise CodegenError(
+                    f"Argument {name!r} has shape {value.shape}, expected {expected}"
+                )
 
-    # Fourth pass: every needed symbol must now have a value.
-    needed = set(sdfg.symbols)
-    for desc in sdfg.arrays.values():
-        needed |= desc.free_symbols()
-    needed |= sdfg.free_symbols()
-    iterators = {loop.itervar for loop in sdfg.all_loops()}
-    needed -= iterators
-    needed -= set(sdfg.arrays)
-    missing = sorted(needed - set(symbol_values))
+    # Every needed symbol must now have a value.
+    missing = plan.needed - symbol_values.keys()
     if missing:
         raise CodegenError(
-            f"Could not determine values for symbols {missing}; pass them as keyword arguments"
+            f"Could not determine values for symbols {sorted(missing)}; "
+            "pass them as keyword arguments"
         )
-    for name, value in symbol_values.items():
-        resolved[name] = int(value)
+    resolved.update(symbol_values)
     return resolved

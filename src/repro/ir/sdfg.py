@@ -42,7 +42,15 @@ class SDFG:
         Call-signature order of non-transient containers and symbols.
     root:
         Top-level control-flow region.
+
+    Codegen memoizes the argument-binding plan of the SDFG in
+    ``_binding_plan`` (see :mod:`repro.codegen.runtime`).  The SDFG-level
+    mutators below drop it and copies/pickles never carry it; an SDFG handed
+    to codegen is otherwise treated as frozen.
     """
+
+    #: Memoized :class:`repro.codegen.runtime.BindingPlan` (``None`` = none).
+    _binding_plan = None
 
     def __init__(self, name: str = "program") -> None:
         self.name = name
@@ -79,6 +87,7 @@ class SDFG:
             zero_init=zero_init,
         )
         self.arrays[name] = desc
+        self._binding_plan = None
         return desc
 
     def add_transient(self, name: str, shape: Iterable = (), dtype="float64",
@@ -95,6 +104,7 @@ class SDFG:
         if name not in self.symbols:
             self.symbols[name] = as_dtype(dtype)
             self._names.reserve(name)
+            self._binding_plan = None
         return name
 
     def make_name(self, prefix: str) -> str:
@@ -105,6 +115,7 @@ class SDFG:
     def add_state(self, label: str = "") -> State:
         """Append a new state to the root region."""
         self._state_counter += 1
+        self._binding_plan = None
         return self.root.add_state(label or f"state_{self._state_counter}")
 
     def all_states(self) -> Iterator[State]:
@@ -164,6 +175,13 @@ class SDFG:
         return result
 
     # -- utilities ------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        # Deep copies and pickles drop the binding-plan memo: a copy is
+        # about to be transformed, an unpickled one is re-planned on load.
+        state = dict(self.__dict__)
+        state.pop("_binding_plan", None)
+        return state
+
     def copy(self) -> "SDFG":
         """Deep copy (used before destructive transformations such as AD)."""
         return _copy.deepcopy(self)
