@@ -40,7 +40,7 @@ from _common import write_results
 from repro.harness import copy_data as _copy
 from repro.harness import format_table
 from repro.npbench import get_kernel
-from repro.pipeline import build_pipeline, compile_forward, compile_gradient
+from repro.pipeline import CompileOptions, build_pipeline, compile_forward, compile_gradient
 
 STENCIL_KERNEL = "smooth_chain"
 GRADIENT_KERNEL = "bias_act"
@@ -134,7 +134,8 @@ def bench_gradient_regression(preset: str = "paper") -> dict:
 def distinct_fingerprints() -> int:
     """Number of distinct pipeline fingerprints across O0-O3 (must be 4 so
     every level gets its own compilation-cache entry)."""
-    return len({build_pipeline(level).fingerprint() for level in ("O0", "O1", "O2", "O3")})
+    return len({build_pipeline(CompileOptions(level)).fingerprint()
+                for level in ("O0", "O1", "O2", "O3")})
 
 
 def run_o3_benchmark() -> dict:

@@ -5,8 +5,9 @@ changes** to the NumPy program being differentiated (the paper's headline
 usability property): the function is parsed, differentiated at the IR level
 and compiled to NumPy code that computes the gradients.
 
-Since the pipeline refactor both entry points are thin wrappers over
-:func:`repro.pipeline.compile_gradient`: simplification (at ``optimize="O1"``,
+Both entry points are keyword sugar for one
+:class:`~repro.pipeline.CompileOptions` request run by
+:func:`repro.pipeline.compile_request`: simplification (at ``optimize="O1"``,
 the default), checkpointing selection, reversal and codegen run as pipeline
 stages, the per-stage timings land on ``GradientFunction.report`` and repeated
 calls on an unchanged program hit the compilation cache.
@@ -18,12 +19,7 @@ from typing import Optional, Sequence, Union
 
 from repro.autodiff.engine import BackwardPassResult
 from repro.ir import SDFG
-
-
-def _to_sdfg(func_or_program) -> SDFG:
-    from repro.pipeline.driver import to_sdfg
-
-    return to_sdfg(func_or_program)
+from repro.util.errors import PipelineError
 
 
 class GradientFunction:
@@ -54,42 +50,40 @@ class GradientFunction:
         memory_planning: Optional[bool] = None,
         profile: bool = False,
     ) -> None:
-        from repro.pipeline.driver import compile_gradient
+        from repro.pipeline.driver import CompileOptions
 
-        self.forward_sdfg = _to_sdfg(func_or_program)
-        #: The full compilation request, so transforms that recompile this
-        #: gradient under a modified pipeline — ``repro.vmap(grad(f))``
-        #: inserts its batching pass pre-AD — reproduce it exactly.
-        self.compile_spec = {
-            "wrt": wrt,
-            "strategy": strategy,
-            "return_value": return_value,
-            "output": output,
-            "optimize": optimize,
-            "symbol_values": symbol_values,
-            "cache": cache,
-            "extra_passes": tuple(extra_passes),
-            "backend": backend,
-            "memory_planning": memory_planning,
-            "profile": profile,
-        }
-        outcome = compile_gradient(
-            self.forward_sdfg,
-            wrt=wrt,
-            output=output,
-            checkpointing=strategy,
-            return_value=return_value,
-            optimize=optimize,
-            symbol_values=symbol_values,
-            cache=cache,
-            extra_passes=extra_passes,
-            backend=backend,
-            memory_planning=memory_planning,
+        self._compile(func_or_program, CompileOptions(
+            optimize, gradient=True, backend=backend,
+            memory_planning=memory_planning, checkpointing=strategy, wrt=wrt,
+            output=output, return_value=return_value,
+            symbol_values=symbol_values, extra_passes=extra_passes,
             profile=profile,
-        )
+        ), cache)
+
+    @classmethod
+    def from_options(cls, func_or_program, options, cache=None) -> "GradientFunction":
+        """Compile the gradient a :class:`~repro.pipeline.CompileOptions`
+        request describes (the form every other entry point forwards)."""
+        self = cls.__new__(cls)
+        self._compile(func_or_program, options, cache)
+        return self
+
+    def _compile(self, func_or_program, options, cache) -> None:
+        from repro.pipeline.driver import compile_request, to_sdfg
+
+        if not options.gradient:
+            raise PipelineError("GradientFunction needs a gradient request")
+        self.forward_sdfg = to_sdfg(func_or_program)
+        #: The full compilation request (and where it was looked up), so
+        #: transforms that recompile this gradient under a modified pipeline
+        #: — ``repro.vmap(grad(f))`` inserts its batching pass pre-AD —
+        #: reproduce it exactly.
+        self.options = options
+        self.cache = cache
+        outcome = compile_request(self.forward_sdfg, options, cache)
         self.result: BackwardPassResult = outcome.artifacts["backward"]
         self.wrt = list(self.result.gradient_names)
-        self.return_value = return_value
+        self.return_value = options.return_value
         self.compiled = outcome.compiled
         self.report = outcome.report
         self.cache_hit = outcome.cache_hit

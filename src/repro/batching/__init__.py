@@ -17,8 +17,8 @@ requests (the serving direction of the ROADMAP):
   futures, with synchronous and thread-based async front-ends.  The
   fault-tolerant serving runtime it grew into lives in :mod:`repro.serve`
   (deadlines, backpressure, supervision, bisection, circuit breaking —
-  ``docs/serving.md``); :mod:`repro.batching.serve` re-exports it here for
-  compatibility.
+  ``docs/serving.md``); this package re-exports :class:`BatchQueue`,
+  :class:`BatchStats` and :func:`bucketed` from there.
 
 See ``docs/batching.md`` for transform semantics, the batching-rules table
 and a serving walkthrough; ``benchmarks/bench_batching.py`` measures the
@@ -32,7 +32,7 @@ from repro.batching.rules import (
     register_batching_rule,
 )
 from repro.batching.vmap import BatchedProgram, Vmap, vmap
-from repro.batching.serve import BatchQueue, BatchStats, bucketed
+from repro.serve.runtime import BatchQueue, BatchStats, bucketed
 
 __all__ = [
     "BatchInfo",

@@ -18,11 +18,12 @@ Two ways to batch a program, both backed by the same IR transform
 Because the batch size is a *symbolic* dimension inferred from argument
 shapes at call time, one compilation (one cache entry) serves every batch
 size — the property the micro-batching runtime
-(:mod:`repro.batching.serve`) builds on.
+(:mod:`repro.serve`) builds on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Optional
 
 from repro.batching.transform import BatchInfo, InAxes, batch_sdfg
@@ -81,7 +82,7 @@ class BatchedProgram:
         self.name = f"{getattr(program, 'name', getattr(program, '__name__', 'program'))}_vmap"
         self._info: Optional[BatchInfo] = None
         self._compiled = None
-        self._compiled_key = None
+        self._compiled_options = None
 
     # -- lowering --------------------------------------------------------
     @property
@@ -110,15 +111,15 @@ class BatchedProgram:
 
         ``profile=True`` wraps the result with per-kernel runtime
         instrumentation (see ``docs/observability.md``)."""
-        key = (optimize, backend, memory_planning, profile)
-        if self._compiled is None or self._compiled_key != key:
-            from repro.pipeline.driver import compile_forward
+        from repro.pipeline.driver import CompileOptions, compile_request
 
-            self._compiled = compile_forward(
-                self.to_sdfg(), optimize, cache=cache, backend=backend,
-                memory_planning=memory_planning, profile=profile,
-            ).compiled
-            self._compiled_key = key
+        options = CompileOptions(
+            optimize, gradient=False, backend=backend,
+            memory_planning=memory_planning, profile=profile,
+        )
+        if self._compiled is None or self._compiled_options != options:
+            self._compiled = compile_request(self.to_sdfg(), options, cache).compiled
+            self._compiled_options = options
         return self._compiled
 
     def __call__(self, *args, **kwargs):
@@ -154,9 +155,12 @@ def vmap(program, in_axes: InAxes = 0, batch_symbol: Optional[str] = None):
     from repro.autodiff.api import GradientFunction
 
     if isinstance(program, GradientFunction):
-        spec = dict(program.compile_spec)
-        spec["extra_passes"] = tuple(spec.get("extra_passes") or ()) + (
-            Vmap(in_axes=in_axes, batch_symbol=batch_symbol),
+        options = dataclasses.replace(
+            program.options,
+            extra_passes=program.options.extra_passes
+            + (Vmap(in_axes=in_axes, batch_symbol=batch_symbol),),
         )
-        return GradientFunction(program.forward_sdfg, **spec)
+        return GradientFunction.from_options(
+            program.forward_sdfg, options, program.cache
+        )
     return BatchedProgram(program, in_axes=in_axes, batch_symbol=batch_symbol)

@@ -65,7 +65,7 @@ class Program:
         self.name = name or func.__name__
         self._sdfg: Optional[SDFG] = None
         self._compiled = None
-        self._compiled_key = None
+        self._compiled_options = None
 
     # -- compilation pipeline ------------------------------------------------
     def to_sdfg(self) -> SDFG:
@@ -89,14 +89,14 @@ class Program:
         ``profile=True`` wraps the result with per-kernel runtime
         instrumentation (see ``docs/observability.md``).
         """
-        key = (optimize, backend, profile)
-        if self._compiled is None or self._compiled_key != key:
-            from repro.pipeline.driver import compile_forward
+        from repro.pipeline.driver import CompileOptions, compile_request
 
-            self._compiled = compile_forward(
-                self.to_sdfg(), optimize, backend=backend, profile=profile
-            ).compiled
-            self._compiled_key = key
+        options = CompileOptions(
+            optimize, gradient=False, backend=backend, profile=profile
+        )
+        if self._compiled is None or self._compiled_options != options:
+            self._compiled = compile_request(self.to_sdfg(), options).compiled
+            self._compiled_options = options
         return self._compiled
 
     # -- batching --------------------------------------------------------------

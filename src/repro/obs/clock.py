@@ -6,9 +6,8 @@ One clock, three consumers:
   :func:`monotonic_ns`;
 * the pass manager derives ``PassRecord.seconds`` from the same counter, so
   pipeline-report rows and trace spans agree to the nanosecond;
-* the repeated-measurement helpers (:func:`repeat_timed`, backing both
-  ``repro.util.timing.measure_callable`` and ``repro.harness.measure``) use
-  it for benchmark loops.
+* the repeated-measurement loop (:func:`repeat_timed`, backing
+  ``repro.harness.measure``) uses it for benchmark loops.
 
 ``time.perf_counter_ns`` is monotonic, never adjusted by NTP, and integer —
 no float rounding at nanosecond resolution.  Timestamps are only meaningful
@@ -43,10 +42,9 @@ def repeat_timed(
     """Run ``fn`` with ``warmup`` unmeasured calls then ``repeats`` measured
     calls; returns the individual wall times (seconds) and the last value.
 
-    This is the one repeated-measurement loop in the code base: both
-    ``repro.util.timing.measure_callable`` and ``repro.harness.measure``
-    wrap it, so every benchmark number comes off the same clock as the
-    tracer's spans.
+    This is the one repeated-measurement loop in the code base:
+    ``repro.harness.measure`` wraps it, so every benchmark number comes off
+    the same clock as the tracer's spans.
     """
     value: Any = None
     for _ in range(max(0, warmup)):

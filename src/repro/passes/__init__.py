@@ -9,13 +9,13 @@
 * :mod:`repro.passes.simplification` - dead code elimination and
   constant-condition pruning (the paper's pre-AD cleanup of configuration
   control flow), the ``optimize="O1"`` tier.
-* :mod:`repro.passes.cse` - common-subexpression elimination: duplicate
-  element-wise maps and repeated memlet reads, per state.
+* :mod:`repro.passes.elementwise` - shared queries over element-wise maps:
+  identity writes, canonical node keys, repeated memlet reads.
 * :mod:`repro.passes.liveness` - global program order and per-container live
   intervals over the control-flow tree (loops, branches, loop-carried
   values), the analysis memory planning and GVN build on.
-* :mod:`repro.passes.gvn` - global value numbering: cross-state duplicate-map
-  merging that subsumes per-state CSE (``optimize="O2"``).
+* :mod:`repro.passes.gvn` - global value numbering: duplicate-map merging
+  within and across states (``optimize="O2"``).
 * :mod:`repro.passes.planning` - liveness-driven memory planning: coloring
   non-overlapping transient live ranges into shared buffers, with in-place
   map execution (``optimize="O2"``, docs/memory-planning.md).
@@ -37,11 +37,7 @@ from repro.passes.cost import (
     FusionDecision,
     summarize_decisions,
 )
-from repro.passes.cse import (
-    dedupe_connectors,
-    eliminate_common_subexpressions,
-    is_identity_elementwise_write,
-)
+from repro.passes.elementwise import dedupe_connectors, is_identity_elementwise_write
 from repro.passes.flops import (
     count_node_flops,
     count_sdfg_flops,
@@ -74,7 +70,6 @@ __all__ = [
     "total_argument_bytes",
     "total_transient_bytes",
     "dedupe_connectors",
-    "eliminate_common_subexpressions",
     "eliminate_dead_code",
     "fuse_elementwise_maps",
     "is_identity_elementwise_write",

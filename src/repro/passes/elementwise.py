@@ -1,31 +1,28 @@
-"""Common-subexpression elimination within SDFG states.
+"""Shared queries and rewrites over element-wise maps.
 
-Two redundancies appear in lowered programs (and multiply after map fusion):
+The duplicate-work passes (global value numbering, map fusion) and the
+liveness and memory-planning analyses reason about the same node shapes:
 
-* **repeated memlet reads** — one compute node reading the same container
-  element(s) through several connectors (``out * out`` lowers to two
-  connectors over the same subset); :func:`dedupe_connectors` merges them;
-* **duplicate compute nodes** — two element-wise maps in one state computing
-  the same expression over the same inputs into two different transients;
-  :func:`eliminate_common_subexpressions` keeps the first, redirects every
-  read of the second transient to the first and drops the duplicate node and
-  its descriptor.
-
-Both rewrites are value-preserving by construction: a duplicate is only
-merged when its inputs provably hold the same values at both definition
-points (same state, no intervening write to any input) and the survivor is
-the only writer of its container, so the redirected reads observe the same
-value at every program point.
+* :func:`dedupe_connectors` merges input connectors of one map that read
+  the same container element(s) (``out * out`` lowers to two connectors
+  over the same subset);
+* :func:`is_identity_elementwise_write` recognises a map whose output
+  container is a pure function of its inputs (every element written once,
+  parameter ``k`` writing element ``k``);
+* ``_node_key`` gives such a map a canonical, alpha-renamed identity, so
+  two maps computing the same expression over the same inputs compare
+  equal; ``_redirect_reads`` and ``_sole_writer`` are the rewrite and the
+  safety query a merge of two such maps needs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.ir import MapCompute, SDFG
 from repro.ir.nodes import ComputeNode
 from repro.ir.subsets import Index, Range
-from repro.ir.usage import UseSites, collect_uses
+from repro.ir.usage import UseSites
 from repro.symbolic import Const, Sym, as_expr, substitute
 from repro.symbolic.simplify import simplify
 
@@ -65,7 +62,7 @@ def is_identity_elementwise_write(node: ComputeNode, desc) -> bool:
     of ``desc`` exactly once, with map parameter ``k`` writing element ``k``
     (the normal form :meth:`StateBuilder.emit_elementwise_write` produces for
     full-container targets).  This is the producer shape map fusion and
-    duplicate-node CSE can reason about: the container's contents are a pure
+    global value numbering can reason about: the container's contents are a pure
     function of the node's inputs."""
     if not isinstance(node, MapCompute) or node.output.accumulate:
         return False
@@ -120,81 +117,6 @@ def _redirect_reads(sdfg: SDFG, old: str, new: str) -> None:
                     memlet.data = new
 
 
-def eliminate_common_subexpressions(
-    sdfg: SDFG, protect: Iterable[str] = ()
-) -> tuple[int, int]:
-    """Deduplicate repeated memlet reads and duplicate element-wise maps.
-
-    ``protect`` names containers that must survive (a user-selected gradient
-    ``output``/``wrt`` target); the program's return container is always
-    protected.  Returns ``(nodes_removed, connectors_merged)``.
-    """
-    protected = set(protect)
-    return_name = getattr(sdfg, "return_name", None)
-    if return_name:
-        protected.add(return_name)
-
-    merged_conns = 0
-    for state in sdfg.all_states():
-        for node in state.nodes:
-            merged_conns += dedupe_connectors(node)
-
-    removed = 0
-    merged_any = True
-    while merged_any:
-        # Sweep every state to a local fixed point, re-collecting uses after
-        # each merge (the redirect renames reads across the whole SDFG).  A
-        # redirect can also make two previously-distinct nodes in an earlier
-        # state identical, so repeat the sweep until nothing merges.
-        merged_any = False
-        for state in sdfg.all_states():
-            while _dedupe_state(sdfg, state, collect_uses(sdfg), protected):
-                removed += 1
-                merged_any = True
-    return removed, merged_conns
-
-
 def _sole_writer(uses: dict, name: str, node: ComputeNode) -> bool:
     sites = uses.get(name, UseSites())
     return len(sites.writes) == 1 and sites.writes[0].node is node
-
-
-def _dedupe_state(sdfg: SDFG, state, uses, protected) -> bool:
-    """Merge the first duplicate pair found in ``state``; True if changed."""
-    seen: dict[tuple, tuple[int, MapCompute]] = {}
-    for index, node in enumerate(state.nodes):
-        key = _node_key(node, sdfg) if isinstance(node, MapCompute) else None
-        if key is None:
-            continue
-        earlier = seen.get(key)
-        if earlier is None:
-            seen[key] = (index, node)
-            continue
-        first_index, first = earlier
-        # An intervening write to any shared input (or to the survivor's
-        # output) means the duplicate no longer observes the same values:
-        # the later node takes over as the merge candidate.
-        window = {m.data for m in first.inputs.values()} | {first.output.data}
-        if any(
-            between.output.data in window
-            for between in state.nodes[first_index + 1 : index]
-        ):
-            seen[key] = (index, node)
-            continue
-        dup_name = node.output.data
-        keep_name = first.output.data
-        dup_desc = sdfg.arrays[dup_name]
-        dup_sites = uses.get(dup_name, UseSites())
-        if (
-            not dup_desc.transient
-            or dup_name in protected
-            or dup_sites.opaque_reads
-            or not _sole_writer(uses, dup_name, node)
-            or not _sole_writer(uses, keep_name, first)
-        ):
-            continue
-        state.nodes.pop(index)
-        _redirect_reads(sdfg, dup_name, keep_name)
-        del sdfg.arrays[dup_name]
-        return True
-    return False

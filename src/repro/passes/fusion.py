@@ -17,8 +17,8 @@ A producer/consumer pair ``(P, C)`` over transient ``T`` is fused when
 
 * ``P`` is an *identity element-wise full write* of ``T`` (map parameter
   ``k`` writes element ``k``, every element written once, no accumulation —
-  see :func:`repro.passes.cse.is_identity_elementwise_write`), and ``P`` is
-  the only writer of ``T`` anywhere in the SDFG;
+  see :func:`repro.passes.elementwise.is_identity_elementwise_write`), and
+  ``P`` is the only writer of ``T`` anywhere in the SDFG;
 * every read of ``T`` anywhere in the SDFG is by the single compute node
   ``C`` (a :class:`MapCompute`), through per-element subsets;
 * ``C`` executes after ``P`` in the same control-flow region, with only
@@ -70,7 +70,7 @@ from repro.ir import MapCompute, Memlet, SDFG, State
 from repro.ir.control_flow import ControlFlowRegion
 from repro.ir.subsets import Index
 from repro.ir.usage import UseSite, UseSites, collect_uses
-from repro.passes.cse import dedupe_connectors, is_identity_elementwise_write
+from repro.passes.elementwise import dedupe_connectors, is_identity_elementwise_write
 from repro.symbolic import (
     Const,
     Expr,

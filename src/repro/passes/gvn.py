@@ -1,13 +1,13 @@
 """Global value numbering across the control-flow tree.
 
-:mod:`repro.passes.cse` deduplicates identical element-wise maps *within one
-state* — but the frontend gives every assignment its own state, so the
-common case of two statements computing the same expression (``a = x*y+1``
-followed later by ``b = x*y+1``) was left untouched (the pinned cross-state
-CSE gap).  This pass runs the same canonical-key matching
-(:func:`repro.passes.cse._node_key`: alpha-renamed expression, input
-memlets, output shape/dtype) over the *global* program order produced by
-:mod:`repro.passes.liveness`, merging duplicates across state boundaries.
+The frontend gives every assignment its own state, so two statements
+computing the same expression (``a = x*y+1`` followed later by
+``b = x*y+1``) are duplicates in *different* states.  This pass matches
+element-wise maps by their canonical key
+(:mod:`repro.passes.elementwise`: alpha-renamed expression, input memlets,
+output shape/dtype) over the *global* program order produced by
+:mod:`repro.passes.liveness`, merging duplicates within and across state
+boundaries (the ``optimize="O2"``/``"O3"`` duplicate-work stage).
 
 Scope and safety:
 
@@ -23,17 +23,14 @@ Scope and safety:
 * Between the two definitions there must be **no write** (at any nesting
   depth — conditional and loop-body writes count) to any input of the
   survivor or to its output; otherwise the later node takes over as the
-  merge candidate, exactly like per-state CSE.
+  merge candidate.
 * The duplicate's output must be an unprotected transient with no opaque
   (control-flow) reads, and both nodes must be the sole writers of their
   containers.
 
-Per-state duplicates are a special case of the above, so the default O2+/O3
-pipelines run this pass *instead of* per-state CSE
-(:func:`~repro.passes.cse.eliminate_common_subexpressions` remains available
-for explicit pipelines).  Every merged duplicate also removes one container
-from the program before AD runs — the backward pass then stores and streams
-one value instead of two, the saved-traffic credit the cost model prices via
+Every merged duplicate also removes one container from the program before
+AD runs — the backward pass then stores and streams one value instead of
+two, the saved-traffic credit the cost model prices via
 ``CostModelConfig.backward_traffic_credit``.
 """
 
@@ -44,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.ir.nodes import MapCompute
 from repro.ir.usage import collect_uses
-from repro.passes.cse import _node_key, _redirect_reads, _sole_writer, dedupe_connectors
+from repro.passes.elementwise import _node_key, _redirect_reads, _sole_writer, dedupe_connectors
 from repro.passes.liveness import compute_liveness
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,7 +67,7 @@ def global_value_numbering(
 ) -> GVNResult:
     """Merge duplicate element-wise maps across states (module docstring has
     the exact soundness conditions).  ``protect`` names containers that must
-    survive; the return container always does.  Subsumes per-state CSE."""
+    survive; the return container always does."""
     protected = set(protect)
     return_name = getattr(sdfg, "return_name", None)
     if return_name:

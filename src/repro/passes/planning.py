@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional
 from repro.ir.control_flow import ConditionalRegion
 from repro.ir.nodes import MapCompute
 from repro.ir.subsets import Subset
-from repro.passes.cse import is_identity_elementwise_write
+from repro.passes.elementwise import is_identity_elementwise_write
 from repro.passes.liveness import Interval, LivenessInfo, compute_liveness
 from repro.symbolic import BinOp, Const, Expr, Sym, UnOp, as_expr
 

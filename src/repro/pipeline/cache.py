@@ -5,7 +5,8 @@ the cache maps a compilation request to the finished
 :class:`~repro.codegen.CompiledSDFG` (plus the pipeline report and artifacts
 such as the AD result), so repeated ``repro.compile`` / ``repro.grad`` calls
 on an unchanged program skip parsing, simplification, AD and code emission
-entirely.  Entries are evicted LRU beyond ``maxsize``.
+entirely.  Entries are evicted LRU beyond ``maxsize``; one lock makes
+lookups, stores and evictions safe to call from several threads.
 
 Besides the per-instance :class:`CacheStats`, every lookup also feeds the
 process-wide metrics registry (``cache.hits`` / ``cache.misses`` /
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -157,44 +159,55 @@ class CompilationCache:
         self.persist_dir = persist_dir
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self.stats = CacheStats()
+        # One lock guards _entries and stats: the cache is shared across
+        # threads (DEFAULT_CACHE is process-wide; serving fallbacks compile
+        # from worker threads), and a lookup's get + move_to_end must not
+        # interleave with another thread's eviction.  Disk I/O runs outside.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     def lookup(self, key: tuple) -> Optional[CacheEntry]:
         """Fetch the entry under ``key`` (marking it most-recently used), or
         ``None`` on a miss.  Updates :attr:`stats` either way."""
-        entry = self._entries.get(key)
-        if entry is None:
-            entry = self._load_spilled(key)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+        if entry is not None:
+            _OBS_HITS.inc()
+            return entry
+        entry = self._load_spilled(key)
+        with self._lock:
             if entry is None:
                 self.stats.misses += 1
-                _OBS_MISSES.inc()
-                return None
-            self.stats.disk_hits += 1
-            _OBS_DISK_HITS.inc()
-            self._insert(entry)
-            return entry
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        _OBS_HITS.inc()
+            else:
+                self.stats.disk_hits += 1
+                self._insert(entry)
+        (_OBS_MISSES if entry is None else _OBS_DISK_HITS).inc()
         return entry
 
     def store(self, entry: CacheEntry) -> CacheEntry:
         """Insert ``entry`` under its key, evicting least-recently-used
         entries beyond ``maxsize``; spill it to ``persist_dir`` if set."""
-        self._insert(entry)
+        with self._lock:
+            self._insert(entry)
         self._spill(entry)
         return entry
 
     def clear(self) -> None:
         """Drop every in-memory entry and reset the statistics (spilled
         entries on disk are kept; delete the directory to drop those)."""
-        self._entries.clear()
-        self.stats = CacheStats()
+        with self._lock:
+            self._entries.clear()
+            self.stats = CacheStats()
 
     # -- persistence ------------------------------------------------------
     def _insert(self, entry: CacheEntry) -> None:
+        """Insert and evict; the caller holds ``_lock``."""
         self._entries[entry.key] = entry
         self._entries.move_to_end(entry.key)
         while len(self._entries) > self.maxsize:

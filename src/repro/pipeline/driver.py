@@ -1,27 +1,31 @@
 """The compilation driver: pipeline assembly, caching and the top-level API.
 
-``repro.compile(program, optimize="O0"|"O1"|"O2", checkpointing=...)`` is the
-single entry point the rest of the package routes through:
+A compilation request is one :class:`CompileOptions` value: what to
+differentiate, the checkpointing strategy, the optimization tier, the
+backend and the remaining knobs.  :func:`build_pipeline` turns it into a
+:class:`PassManager` and :func:`compile_request` runs that (cached).  Every
+public entry point — ``repro.compile``, :func:`compile_forward`,
+:func:`compile_gradient`, ``grad`` / ``value_and_grad`` /
+``GradientFunction``, ``Program.compile`` and ``BatchedProgram.compile`` —
+is keyword sugar that builds one :class:`CompileOptions` and forwards it.
 
 * ``optimize="O1"`` (default) runs the paper's pre-AD cleanup — constant
   branch pruning followed by dead code elimination — before differentiation
   and code generation; ``"O0"`` compiles the program as written; ``"O2"``
-  additionally deduplicates identical element-wise maps (CSE) and fuses
-  producer/consumer maps so intermediate transients are never materialised;
-  ``"O3"`` makes fusion cost-model-driven — stencil-offset reads fuse when
-  modelled recompute cost stays below saved traffic, and gradient compiles
-  decline fusions the backward pass would recompute (see
+  additionally merges identical element-wise maps (global value numbering)
+  and fuses producer/consumer maps so intermediate transients are never
+  materialised; ``"O3"`` makes fusion cost-model-driven — stencil-offset
+  reads fuse when modelled recompute cost stays below saved traffic, and
+  gradient compiles decline fusions the backward pass would recompute (see
   docs/optimization-levels.md and docs/cost-model.md).
-* When a gradient is requested (``gradient=True``, a ``wrt`` list, or a
-  checkpointing spec), the pipeline appends checkpointing-strategy selection,
-  the reverse-mode AD stage and the terminal codegen stage, and the call
-  returns a :class:`~repro.autodiff.GradientFunction`.
+* When a gradient is requested (``gradient=True``, a ``wrt`` list, an
+  ``output`` or a checkpointing spec), the pipeline appends
+  checkpointing-strategy selection and the reverse-mode AD stage before the
+  terminal codegen stage, and ``repro.compile`` returns a
+  :class:`~repro.autodiff.GradientFunction`.
 * Results are cached in :data:`~repro.pipeline.cache.DEFAULT_CACHE` keyed on
   the SDFG content hash and the pipeline configuration — recompiling an
   unchanged program is a hash plus a dictionary lookup.
-
-``grad`` / ``value_and_grad`` / ``Program.compile`` are thin wrappers over
-these helpers.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from repro.pipeline.stages import (
     Autodiff,
     Codegen,
     CheckpointingSelection,
-    CommonSubexpressionElimination,
     ConstantBranchPruning,
     DeadCodeElimination,
     GlobalValueNumbering,
@@ -53,8 +56,8 @@ from repro.pipeline.stages import (
 #: Ordered simplification stages per optimization level.  Each entry is a
 #: pass class or ``(class, extra_kwargs)``.  ``O0`` compiles the program as
 #: written; ``O1`` is the paper's pre-AD cleanup; ``O2`` adds duplicate-work
-#: elimination — global value numbering, the cross-state generalisation of
-#: per-state CSE — and producer/consumer map fusion; ``O3`` runs the same
+#: elimination (global value numbering merges identical element-wise maps
+#: across states) and producer/consumer map fusion; ``O3`` runs the same
 #: stages but makes fusion *cost-model-driven* (stencil offsets fuse when
 #: the recompute-vs-traffic model pays, and gradient compiles decline
 #: fusions the backward pass would have to recompute — see
@@ -80,13 +83,77 @@ OPT_LEVELS: dict[str, tuple] = {
 }
 
 #: Stages that take an ``extra_keep`` tuple of containers they must preserve
-#: even when those look dead/mergeable (gradient targets, result names).
-_KEEP_AWARE = (
-    DeadCodeElimination,
-    CommonSubexpressionElimination,
-    GlobalValueNumbering,
-    MapFusion,
-)
+#: even when those look dead/mergeable (gradient targets).
+_KEEP_AWARE = (DeadCodeElimination, GlobalValueNumbering, MapFusion)
+
+
+@dataclass(frozen=True)
+class CompileOptions:
+    """One compilation request: every value that decides what gets built.
+
+    ``optimize`` is the tier (``"O0"``..``"O3"``).  ``gradient=None`` means
+    "infer": the request differentiates when any of ``wrt``, ``output`` or
+    ``checkpointing`` is given; after construction ``gradient`` is always a
+    bool.  ``backend`` names the code generator (``None`` = numpy).
+    ``memory_planning`` forces the liveness-driven buffer-reuse stage on or
+    off (``None`` = on at O2+).  ``checkpointing`` is a strategy instance or
+    name, ``wrt`` the inputs to differentiate (a name or a sequence, stored
+    as a tuple), ``output`` the container to differentiate and
+    ``return_value`` whether a gradient call also returns the forward value.
+    ``symbol_values`` binds configuration symbols at compile time,
+    ``extra_passes`` run after simplification and before AD/codegen, and
+    ``profile`` wraps the compiled callable for per-call runtime histograms.
+
+    Where a compiled result is looked up (the ``cache=`` argument of the
+    entry points) is not part of the request.  Requests compare equal
+    field by field, which is what ``Program.compile`` memoizes on.
+    """
+
+    optimize: str = "O1"
+    gradient: Optional[bool] = None
+    backend: Optional[str] = None
+    memory_planning: Optional[bool] = None
+    checkpointing: Any = None
+    wrt: Optional[Sequence[str]] = None
+    output: Optional[str] = None
+    return_value: bool = False
+    symbol_values: Optional[Mapping[str, object]] = None
+    extra_passes: Sequence = ()
+    profile: bool = False
+
+    def __post_init__(self) -> None:
+        if self.optimize not in OPT_LEVELS:
+            raise PipelineError(
+                f"Unknown optimization level {self.optimize!r}; "
+                f"options: {sorted(OPT_LEVELS)}"
+            )
+        asks_gradient = (
+            self.wrt is not None
+            or self.checkpointing is not None
+            or self.output is not None
+        )
+        if self.gradient is False and asks_gradient:
+            raise PipelineError(
+                "gradient=False contradicts the gradient options wrt/output/checkpointing; "
+                "drop gradient=False or the gradient options"
+            )
+        wrt = self.wrt
+        if wrt is not None:
+            wrt = (wrt,) if isinstance(wrt, str) else tuple(wrt)
+        # Frozen: normalise through object.__setattr__ (runs again, to the
+        # same result, under dataclasses.replace).
+        object.__setattr__(self, "gradient", bool(self.gradient or asks_gradient))
+        object.__setattr__(self, "wrt", wrt)
+        object.__setattr__(self, "symbol_values", dict(self.symbol_values or {}))
+        object.__setattr__(self, "extra_passes", tuple(self.extra_passes))
+
+    @property
+    def keep(self) -> tuple:
+        """Containers downstream stages will need: simplification must not
+        delete or merge them even when they are dead w.r.t. the program's
+        return value."""
+        named = (self.output,) if self.output is not None else ()
+        return named + (self.wrt or ())
 
 
 def to_sdfg(program) -> SDFG:
@@ -104,74 +171,45 @@ def to_sdfg(program) -> SDFG:
     raise PipelineError(f"Cannot lower {program!r} to an SDFG")
 
 
-def build_pipeline(
-    optimize: str = "O1",
-    *,
-    gradient: bool = False,
-    checkpointing=None,
-    wrt: Optional[Sequence[str]] = None,
-    output: Optional[str] = None,
-    return_value: bool = False,
-    func_name: Optional[str] = None,
-    result_names: Optional[list[str]] = None,
-    extra_passes: Sequence = (),
-    backend: Optional[str] = None,
-    memory_planning: Optional[bool] = None,
-) -> PassManager:
-    """Assemble the default pipeline for one compilation request.
+def build_pipeline(options: CompileOptions) -> PassManager:
+    """Assemble the pipeline for one compilation request.
 
-    ``extra_passes`` (pass instances, registered names or callables) are
-    inserted after simplification and before AD/codegen.  ``backend``
-    selects the code generator (``None`` = numpy) — it configures both the
-    terminal codegen stage and, at ``"O3"``, the cost model that prices
-    fusions (native loops make recompute far cheaper; see docs/backends.md).
-    ``memory_planning`` forces the liveness-driven buffer-reuse stage on or
-    off regardless of tier; the default ``None`` enables it at O2+.  The
-    stage runs after AD (gradient containers protected) and immediately
-    before codegen, and its knobs are part of the pipeline fingerprint.
+    ``options.extra_passes`` (pass instances, registered names or callables)
+    are inserted after simplification and before AD/codegen.
+    ``options.backend`` configures both the terminal codegen stage and, at
+    ``"O3"``, the cost model that prices fusions (native loops make
+    recompute far cheaper; see docs/backends.md).  Memory planning runs
+    after AD (gradient containers protected) and immediately before
+    codegen; its knobs are part of the pipeline fingerprint.
     """
-    if optimize not in OPT_LEVELS:
-        raise PipelineError(
-            f"Unknown optimization level {optimize!r}; options: {sorted(OPT_LEVELS)}"
-        )
-    # Containers downstream stages will need: simplification must not delete
-    # them even when they are dead w.r.t. the program's return value.
-    keep: list[str] = []
-    for value in (output, wrt, result_names):
-        keep.extend([value] if isinstance(value, str) else list(value or ()))
+    keep = options.keep
     passes: list = []
-    for entry in OPT_LEVELS[optimize]:
+    for entry in OPT_LEVELS[options.optimize]:
         cls, kwargs = entry if isinstance(entry, tuple) else (entry, {})
         kwargs = dict(kwargs)
         if kwargs.get("cost_driven"):
             # Cost-driven fusion prices backward-pass recomputation only
             # when this compilation will actually differentiate.
-            kwargs.setdefault("gradient_aware", gradient)
-            kwargs.setdefault("backend", backend)
+            kwargs.setdefault("gradient_aware", options.gradient)
+            kwargs.setdefault("backend", options.backend)
         if issubclass(cls, _KEEP_AWARE):
-            kwargs.setdefault("extra_keep", tuple(keep))
+            kwargs.setdefault("extra_keep", keep)
         passes.append(cls(**kwargs))
 
-    passes.extend(extra_passes)
-    if gradient:
-        passes.append(CheckpointingSelection(checkpointing))
-        passes.append(Autodiff(output=output, inputs=wrt))
-    plan_memory = (
-        memory_planning if memory_planning is not None
-        else optimize in ("O2", "O3")
-    )
+    passes.extend(options.extra_passes)
+    if options.gradient:
+        passes.append(CheckpointingSelection(options.checkpointing))
+        passes.append(Autodiff(output=options.output, inputs=options.wrt))
+    plan_memory = options.memory_planning
+    if plan_memory is None:
+        plan_memory = options.optimize in ("O2", "O3")
     if plan_memory:
-        passes.append(MemoryPlanning(extra_keep=tuple(keep)))
+        passes.append(MemoryPlanning(extra_keep=keep))
     passes.append(
-        Codegen(
-            func_name=func_name,
-            result_names=result_names,
-            return_value=return_value,
-            backend=backend,
-        )
+        Codegen(return_value=options.return_value, backend=options.backend)
     )
-    kind = "grad" if gradient else "forward"
-    return PassManager(passes, name=f"{kind}-{optimize}")
+    kind = "grad" if options.gradient else "forward"
+    return PassManager(passes, name=f"{kind}-{options.optimize}")
 
 
 @dataclass
@@ -260,6 +298,39 @@ def run_pipeline(
     return outcome
 
 
+def compile_request(
+    program,
+    options: CompileOptions,
+    cache: Union[CompilationCache, bool, None] = None,
+) -> CompileOutcome:
+    """Compile ``program`` as ``options`` asks, through the pipeline (cached).
+
+    A gradient request's ``outcome.artifacts["backward"]`` holds the
+    :class:`BackwardPassResult` (gradient container names, activity
+    analysis, storage plan).  On a cache hit the stored checkpointing
+    diagnostic is replayed onto the caller's strategy, so
+    ``strategy.last_report`` behaves as on a cold compile.  With
+    ``options.profile`` the returned ``outcome.compiled`` is wrapped in a
+    :class:`~repro.obs.ProfiledCompiledSDFG`: every execution feeds
+    per-kernel runtime histograms in the obs metrics registry (see
+    docs/observability.md).  The wrapper is applied *after* caching, so the
+    cache key and the cached object are unchanged.
+    """
+    sdfg = to_sdfg(program)
+    ctx = PassContext(symbol_values=dict(options.symbol_values))
+    outcome = run_pipeline(sdfg, build_pipeline(options), ctx, cache=cache)
+    strategy = options.checkpointing
+    if outcome.cache_hit and hasattr(strategy, "last_report"):
+        report = outcome.artifacts.get("checkpoint_report")
+        if report is not None:
+            strategy.last_report = report
+    if options.profile:
+        from repro.obs.profile import profile_compiled
+
+        outcome.compiled = profile_compiled(outcome.compiled)
+    return outcome
+
+
 def compile_forward(
     program,
     optimize: str = "O1",
@@ -267,39 +338,17 @@ def compile_forward(
     symbol_values: Optional[Mapping[str, object]] = None,
     cache: Union[CompilationCache, bool, None] = None,
     extra_passes: Sequence = (),
-    func_name: Optional[str] = None,
-    result_names: Optional[list[str]] = None,
     backend: Optional[str] = None,
     memory_planning: Optional[bool] = None,
     profile: bool = False,
 ) -> CompileOutcome:
-    """Compile the forward program through the pipeline (cached).
-
-    With ``profile=True`` the returned ``outcome.compiled`` is wrapped in a
-    :class:`~repro.obs.ProfiledCompiledSDFG`: every execution feeds
-    per-kernel runtime histograms in the obs metrics registry (see
-    docs/observability.md).  The wrapper is applied *after* caching, so the
-    cache key and the cached object are unchanged.
-    """
-    sdfg = to_sdfg(program)
-    manager = build_pipeline(
-        optimize,
-        extra_passes=extra_passes,
-        func_name=func_name,
-        result_names=result_names,
-        backend=backend,
-        memory_planning=memory_planning,
+    """Compile the forward program (keyword sugar over :func:`compile_request`)."""
+    options = CompileOptions(
+        optimize, gradient=False, backend=backend,
+        memory_planning=memory_planning, symbol_values=symbol_values,
+        extra_passes=extra_passes, profile=profile,
     )
-    ctx = PassContext(
-        symbol_values=dict(symbol_values or {}),
-        options={"result_names": list(result_names) if result_names else None},
-    )
-    outcome = run_pipeline(sdfg, manager, ctx, cache=cache)
-    if profile:
-        from repro.obs.profile import profile_compiled
-
-        outcome.compiled = profile_compiled(outcome.compiled)
-    return outcome
+    return compile_request(program, options, cache)
 
 
 def compile_gradient(
@@ -317,47 +366,16 @@ def compile_gradient(
     memory_planning: Optional[bool] = None,
     profile: bool = False,
 ) -> CompileOutcome:
-    """Compile the forward+backward program through the pipeline (cached).
-
-    The outcome's ``artifacts["backward"]`` holds the
-    :class:`BackwardPassResult` (gradient container names, activity analysis,
-    storage plan).  ``profile=True`` wraps the compiled callable for
-    per-execution runtime histograms, exactly as in :func:`compile_forward`.
-    """
-    if isinstance(wrt, str):
-        wrt = [wrt]
-    sdfg = to_sdfg(program)
-    manager = build_pipeline(
-        optimize,
-        gradient=True,
-        checkpointing=checkpointing,
-        wrt=wrt,
-        output=output,
-        return_value=return_value,
-        extra_passes=extra_passes,
-        backend=backend,
-        memory_planning=memory_planning,
+    """Compile the forward+backward program (keyword sugar over
+    :func:`compile_request`)."""
+    options = CompileOptions(
+        optimize, gradient=True, backend=backend,
+        memory_planning=memory_planning, checkpointing=checkpointing,
+        wrt=wrt, output=output, return_value=return_value,
+        symbol_values=symbol_values, extra_passes=extra_passes,
+        profile=profile,
     )
-    ctx = PassContext(
-        symbol_values=dict(symbol_values or {}),
-        options={
-            "wrt": list(wrt) if wrt is not None else None,
-            "output": output,
-            "return_value": return_value,
-        },
-    )
-    outcome = run_pipeline(sdfg, manager, ctx, cache=cache)
-    if outcome.cache_hit and hasattr(checkpointing, "last_report"):
-        # The cached compile skipped strategy.decide(); replay the stored
-        # diagnostic so strategy.last_report behaves as on a cold compile.
-        report = outcome.artifacts.get("checkpoint_report")
-        if report is not None:
-            checkpointing.last_report = report
-    if profile:
-        from repro.obs.profile import profile_compiled
-
-        outcome.compiled = profile_compiled(outcome.compiled)
-    return outcome
+    return compile_request(program, options, cache)
 
 
 def compile(  # noqa: A001 - deliberate: mirrors ``repro.compile``
@@ -392,37 +410,14 @@ def compile(  # noqa: A001 - deliberate: mirrors ``repro.compile``
     native-segment vs NumPy-driver split under the cython backend (see
     docs/observability.md).
     """
-    if gradient is None:
-        gradient = wrt is not None or checkpointing is not None or output is not None
-    elif not gradient and (wrt is not None or checkpointing is not None or output is not None):
-        raise PipelineError(
-            "gradient=False contradicts the gradient options wrt/output/checkpointing; "
-            "drop gradient=False or the gradient options"
-        )
-    if gradient:
+    options = CompileOptions(
+        optimize, gradient=gradient, backend=backend,
+        memory_planning=memory_planning, checkpointing=checkpointing,
+        wrt=wrt, output=output, symbol_values=symbol_values,
+        extra_passes=extra_passes, profile=profile,
+    )
+    if options.gradient:
         from repro.autodiff.api import GradientFunction
 
-        return GradientFunction(
-            program,
-            wrt=wrt,
-            strategy=checkpointing,
-            output=output,
-            optimize=optimize,
-            symbol_values=symbol_values,
-            cache=cache,
-            extra_passes=extra_passes,
-            backend=backend,
-            memory_planning=memory_planning,
-            profile=profile,
-        )
-    outcome = compile_forward(
-        program,
-        optimize,
-        symbol_values=symbol_values,
-        cache=cache,
-        extra_passes=extra_passes,
-        backend=backend,
-        memory_planning=memory_planning,
-        profile=profile,
-    )
-    return outcome.compiled
+        return GradientFunction.from_options(program, options, cache)
+    return compile_request(program, options, cache).compiled

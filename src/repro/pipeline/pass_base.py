@@ -7,7 +7,7 @@ with :meth:`PassContext.note`, which the :class:`~repro.pipeline.manager.PassMan
 collects into the per-pass records of the :class:`PipelineReport`.
 
 Custom passes register themselves with :func:`register_pass` so pipelines can
-be assembled by name (``build_pipeline(extra_passes=["my-pass"])``).
+be assembled by name (``repro.compile(prog, extra_passes=["my-pass"])``).
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ class PassContext:
         constant-branch pruning.
     strategy:
         The resolved checkpointing strategy handed to the AD stage.
-    options:
-        Free-form per-run options (``wrt``, ``output``, ``return_value``).
     artifacts:
         Cross-pass products: ``"backward"`` (the :class:`BackwardPassResult`)
         and ``"compiled"`` (the :class:`CompiledSDFG`).
@@ -42,7 +40,6 @@ class PassContext:
 
     symbol_values: dict[str, object] = field(default_factory=dict)
     strategy: object = None
-    options: dict[str, Any] = field(default_factory=dict)
     artifacts: dict[str, Any] = field(default_factory=dict)
     info: dict[str, Any] = field(default_factory=dict)
 
@@ -51,7 +48,9 @@ class PassContext:
         self.info[key] = value
 
     def fingerprint(self) -> tuple:
-        """Cache-relevant part of the context (symbol bindings and options).
+        """Cache-relevant part of the context: the symbol bindings.  (What
+        the request differentiates and returns is already in the stage
+        fingerprints.)
 
         Values without a stable representation are keyed by a process-unique
         token, which forces a cache miss rather than risking a false hit.
@@ -62,10 +61,7 @@ class PassContext:
             stable = stable_repr(value)
             return stable if stable is not None else unique_token()
 
-        return (
-            tuple(sorted((k, rendered(v)) for k, v in self.symbol_values.items())),
-            tuple(sorted((k, rendered(v)) for k, v in self.options.items())),
-        )
+        return tuple(sorted((k, rendered(v)) for k, v in self.symbol_values.items()))
 
 
 class Pass:

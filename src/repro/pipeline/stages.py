@@ -5,12 +5,10 @@ frontend-to-binary flow is one ordered pipeline:
 
 * :class:`ConstantBranchPruning` / :class:`DeadCodeElimination` — the paper's
   pre-AD cleanup (Section IV-B), default at ``optimize="O1"``;
-* :class:`CommonSubexpressionElimination` / :class:`MapFusion` — the ``"O2"``
-  tier: duplicate-work removal and producer/consumer map fusion, run before
-  AD so both the forward and the generated backward pass benefit;
-* :class:`GlobalValueNumbering` — cross-state duplicate-map merging over the
-  liveness walk's global program order; the default O2+/O3 pipelines run it
-  in place of the per-state CSE stage (which remains available by name);
+* :class:`GlobalValueNumbering` / :class:`MapFusion` — the ``"O2"`` tier:
+  duplicate-map merging over the liveness walk's global program order and
+  producer/consumer map fusion, run before AD so both the forward and the
+  generated backward pass benefit;
 * :class:`MemoryPlanning` — liveness-driven buffer reuse for transients,
   run *after* AD (gradient containers protected) and just before codegen,
   at O2+ by default;
@@ -53,9 +51,9 @@ class DeadCodeElimination(Pass):
 
     Besides the default keep set (non-transients plus the return container),
     ``extra_keep`` preserves containers later stages depend on — a
-    user-selected gradient ``output`` / ``wrt`` or explicit codegen
-    ``result_names``.  ``build_pipeline`` derives it from the same arguments
-    it configures those stages with, so the two cannot drift apart.
+    user-selected gradient ``output`` / ``wrt``.  ``build_pipeline`` takes it
+    from ``CompileOptions.keep``, the same request it configures those
+    stages from, so the two cannot drift apart.
     """
 
     name = "dead-code-elimination"
@@ -75,40 +73,12 @@ class DeadCodeElimination(Pass):
         return (self.name, self.extra_keep)
 
 
-class CommonSubexpressionElimination(Pass):
-    """Deduplicate identical element-wise maps and repeated memlet reads
-    within each state (see :func:`repro.passes.cse.eliminate_common_subexpressions`).
-
-    ``extra_keep`` protects containers later stages name explicitly (gradient
-    ``output``/``wrt``, codegen ``result_names``) from being merged away.
-    """
-
-    name = "common-subexpression-elimination"
-
-    def __init__(self, extra_keep: Sequence[str] = ()) -> None:
-        self.extra_keep = tuple(extra_keep)
-
-    def apply(self, sdfg: SDFG, ctx: PassContext) -> SDFG:
-        from repro.passes.cse import eliminate_common_subexpressions
-
-        protect = {name for name in self.extra_keep if name in sdfg.arrays}
-        nodes, conns = eliminate_common_subexpressions(sdfg, protect=protect)
-        ctx.note("nodes_deduplicated", nodes)
-        ctx.note("connectors_merged", conns)
-        return sdfg
-
-    def fingerprint(self) -> tuple:
-        return (self.name, self.extra_keep)
-
-
 class GlobalValueNumbering(Pass):
-    """Merge duplicate element-wise maps across state boundaries (see
-    :func:`repro.passes.gvn.global_value_numbering`) — the cross-state
-    generalisation of :class:`CommonSubexpressionElimination`, which it
-    subsumes in the default O2+/O3 pipelines.
+    """Merge duplicate element-wise maps, within and across states (see
+    :func:`repro.passes.gvn.global_value_numbering`).
 
     ``extra_keep`` protects containers later stages name explicitly
-    (gradient ``output``/``wrt``, codegen ``result_names``).
+    (gradient ``output``/``wrt``).
     """
 
     name = "global-value-numbering"
@@ -476,7 +446,6 @@ def register_builtin_passes() -> None:
     for cls in (
         ConstantBranchPruning,
         DeadCodeElimination,
-        CommonSubexpressionElimination,
         GlobalValueNumbering,
         MemoryPlanning,
         MapFusion,

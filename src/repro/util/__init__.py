@@ -1,7 +1,8 @@
 """Small shared utilities used across the repro package.
 
 Nothing here is specific to the paper; these are the helpers a compiler-ish
-code base needs: error types, name generation, ordered sets and timing.
+code base needs: error types, name generation and ordered sets.  Timing
+lives in :mod:`repro.obs.clock`.
 """
 
 from repro.util.errors import (
@@ -15,7 +16,6 @@ from repro.util.errors import (
 )
 from repro.util.naming import NameGenerator, sanitize_identifier
 from repro.util.ordered import OrderedSet
-from repro.util.timing import Timer, measure_callable
 
 __all__ = [
     "ReproError",
@@ -28,6 +28,4 @@ __all__ = [
     "NameGenerator",
     "sanitize_identifier",
     "OrderedSet",
-    "Timer",
-    "measure_callable",
 ]

@@ -14,7 +14,7 @@ import pytest
 from repro.batching import vmap as repro_vmap
 from repro.batching.vmap import Vmap
 from repro.fuzz import CaseSpec, ProgramGenerator, build_sdfg, hard_templates
-from repro.pipeline.driver import build_pipeline
+from repro.pipeline.driver import CompileOptions, build_pipeline
 from repro.pipeline.pass_base import PassContext
 from repro.util.errors import UnsupportedFeatureError
 
@@ -40,16 +40,18 @@ def _matrix_keys(program):
         for backend in (None, "cython"):
             label = backend or "numpy"
             managers = {
-                "forward": (sdfg, build_pipeline(tier, backend=backend)),
-                "grad": (sdfg, build_pipeline(
-                    tier, gradient=True, wrt=wrt, backend=backend)),
+                "forward": (sdfg, build_pipeline(
+                    CompileOptions(tier, backend=backend))),
+                "grad": (sdfg, build_pipeline(CompileOptions(
+                    tier, gradient=True, wrt=wrt, backend=backend))),
                 # repro.vmap compiles the *batched* SDFG for forward calls...
-                "vmap": (batched, build_pipeline(tier, backend=backend)),
+                "vmap": (batched, build_pipeline(
+                    CompileOptions(tier, backend=backend))),
                 # ...and replays the gradient pipeline with the Vmap pass
                 # inserted pre-AD for vmap(grad(f)).
-                "vmap_grad": (sdfg, build_pipeline(
+                "vmap_grad": (sdfg, build_pipeline(CompileOptions(
                     tier, gradient=True, wrt=wrt, backend=backend,
-                    extra_passes=(Vmap(in_axes=spec.in_axes()),))),
+                    extra_passes=(Vmap(in_axes=spec.in_axes()),)))),
             }
             for mode, (which_sdfg, manager) in managers.items():
                 if which_sdfg is None:
@@ -97,18 +99,18 @@ def test_planning_knob_never_collides_fingerprints(tier):
     change with it (plan-on at O2+ *is* the default, so those two legally
     share a key — serving the default artifact for an explicit plan-on
     request is correct, not a collision)."""
-    default = build_pipeline(tier).fingerprint()
-    on = build_pipeline(tier, memory_planning=True).fingerprint()
-    off = build_pipeline(tier, memory_planning=False).fingerprint()
+    default = build_pipeline(CompileOptions(tier)).fingerprint()
+    on = build_pipeline(CompileOptions(tier, memory_planning=True)).fingerprint()
+    off = build_pipeline(CompileOptions(tier, memory_planning=False)).fingerprint()
     assert on != off
     if tier in ("O2", "O3"):
         assert default == on  # planning is the tier default
     else:
         assert default == off
     # The gradient pipelines make the same distinction.
-    grad_on = build_pipeline(
-        tier, gradient=True, wrt=["A"], memory_planning=True).fingerprint()
-    grad_off = build_pipeline(
-        tier, gradient=True, wrt=["A"], memory_planning=False).fingerprint()
+    grad_on = build_pipeline(CompileOptions(
+        tier, gradient=True, wrt=["A"], memory_planning=True)).fingerprint()
+    grad_off = build_pipeline(CompileOptions(
+        tier, gradient=True, wrt=["A"], memory_planning=False)).fingerprint()
     assert grad_on != grad_off
     assert grad_on != on

@@ -1,10 +1,12 @@
-"""Tests for the O2 optimization tier: map fusion + common-subexpression
-elimination, their pipeline integration, and gradient equivalence with O0.
+"""Tests for the O2 optimization tier: map fusion + duplicate-map merging
+(global value numbering), their pipeline integration, and gradient
+equivalence with O0.
 
 The structural tests drive the raw passes (``repro.passes.fusion`` /
-``repro.passes.cse``) on lowered programs; the numerical tests assert that
-``optimize="O2"`` never changes forward values or gradients (acceptance: O2
-gradients match O0 to 1e-9 relative on stencil and ML kernels).
+``repro.passes.gvn`` / ``repro.passes.elementwise``) on lowered programs;
+the numerical tests assert that ``optimize="O2"`` never changes forward
+values or gradients (acceptance: O2 gradients match O0 to 1e-9 relative on
+stencil and ML kernels).
 """
 
 import numpy as np
@@ -17,8 +19,8 @@ from repro.ir import MapCompute, collect_uses
 from repro.npbench import get_kernel
 from repro.passes import (
     dedupe_connectors,
-    eliminate_common_subexpressions,
     fuse_elementwise_maps,
+    global_value_numbering,
     is_identity_elementwise_write,
 )
 from repro.pipeline import compile_forward, compile_gradient
@@ -197,37 +199,19 @@ class TestMapFusion:
 
 
 class TestCommonSubexpressionElimination:
-    def test_cross_state_duplicates_left_alone(self):
-        @repro.program
-        def dup(x: repro.float64[N], y: repro.float64[N]):
-            a = x * y + 1.0
-            b = x * y + 1.0
-            return np.sum(a + b)
-
-        sdfg = dup.to_sdfg()
-        removed, _ = eliminate_common_subexpressions(sdfg)
-        # The duplicate statements live in *different* states; CSE is
-        # deliberately per-state, so it merges nothing — and nothing breaks.
-        # Cross-state merging is global value numbering's job (the O2+
-        # pipelines run it instead of CSE; see test_memory_planning.py).
-        assert removed == 0
-        x = np.linspace(0.1, 2.0, 16)
-        y = np.linspace(1.0, 3.0, 16)
-        o0 = compile_forward(dup, "O0", cache=False).compiled(x.copy(), y.copy())
-        o2 = compile_forward(dup, "O2", cache=False).compiled(x.copy(), y.copy())
-        np.testing.assert_allclose(o2, o0, rtol=1e-12)
+    """Duplicate maps (global value numbering) and duplicate connectors."""
 
     def test_duplicate_nodes_in_one_state_merged(self):
         # ``np.sum(expr)`` materialises expr into a fresh transient inside the
         # return state; two identical reductions produce two identical maps in
-        # that state — exactly the duplicate CSE targets.
+        # that state — a duplicate global value numbering merges.
         @repro.program
         def twice(x: repro.float64[N]):
             return np.sum(x * x) + np.sum(x * x)
 
         sdfg = twice.to_sdfg()
         before = len(_map_nodes(sdfg))
-        removed, _ = eliminate_common_subexpressions(sdfg)
+        removed = global_value_numbering(sdfg).nodes_merged
         assert removed >= 1
         assert len(_map_nodes(sdfg)) == before - removed
         x = np.linspace(-1.0, 1.0, 17)
@@ -271,7 +255,7 @@ class TestCommonSubexpressionElimination:
             return np.sum(a + b)
 
         sdfg = f.to_sdfg()
-        removed, _ = eliminate_common_subexpressions(sdfg)
+        removed = global_value_numbering(sdfg).nodes_merged
         assert removed == 0
         x = np.linspace(0.0, 1.0, 9)
         o0 = compile_forward(f, "O0", cache=False).compiled(x.copy())

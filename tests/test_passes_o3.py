@@ -24,7 +24,7 @@ from repro.passes import (
     fuse_elementwise_maps,
     summarize_decisions,
 )
-from repro.pipeline import build_pipeline, compile_forward, compile_gradient
+from repro.pipeline import CompileOptions, build_pipeline, compile_forward, compile_gradient
 
 N = repro.symbol("N")
 M = repro.symbol("M")
@@ -378,13 +378,14 @@ class TestCrossStateFusionGuards:
 # ------------------------------------------------------------- pipeline identity
 class TestO3Pipeline:
     def test_all_levels_have_distinct_fingerprints(self):
-        prints = {build_pipeline(level).fingerprint()
+        prints = {build_pipeline(CompileOptions(level)).fingerprint()
                   for level in ("O0", "O1", "O2", "O3")}
         assert len(prints) == 4
 
     def test_gradient_and_forward_o3_fingerprints_differ(self):
-        fwd = build_pipeline("O3").fingerprint()
-        grad = build_pipeline("O3", gradient=True, wrt=["x"]).fingerprint()
+        fwd = build_pipeline(CompileOptions("O3")).fingerprint()
+        grad = build_pipeline(
+            CompileOptions("O3", gradient=True, wrt=["x"])).fingerprint()
         assert fwd != grad
 
     def test_cost_config_knobs_are_cache_relevant(self):
@@ -400,7 +401,7 @@ class TestO3Pipeline:
         from repro.pipeline import PipelineError
 
         with pytest.raises(PipelineError):
-            build_pipeline("O4")
+            build_pipeline(CompileOptions("O4"))
 
     def test_decision_counts_reach_the_report(self):
         spec = get_kernel("smooth_chain")

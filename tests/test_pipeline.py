@@ -5,6 +5,11 @@ Covers the pass protocol, per-pass instrumentation, the compilation cache
 the legacy ``compile_sdfg`` / ``add_backward_pass`` path.
 """
 
+import sys
+import threading
+import time
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,7 @@ from repro.codegen import compile_sdfg
 from repro.npbench import get_kernel
 from repro.pipeline import (
     CompilationCache,
+    CompileOptions,
     Pass,
     PassManager,
     build_pipeline,
@@ -23,6 +29,7 @@ from repro.pipeline import (
     register_pass,
     run_pipeline,
 )
+from repro.pipeline.cache import CacheEntry
 from repro.pipeline.stages import strategy_fingerprint
 from repro.util.errors import PipelineError
 
@@ -82,7 +89,29 @@ class TestPassManagerInstrumentation:
 
     def test_unknown_optimize_level_rejected(self):
         with pytest.raises(PipelineError):
-            build_pipeline("O7")
+            build_pipeline(CompileOptions("O7"))
+
+
+class TestCompileOptions:
+    def test_gradient_is_inferred_and_wrt_normalised(self):
+        forward = CompileOptions()
+        assert forward.gradient is False and forward.keep == ()
+        assert forward.symbol_values == {} and forward.extra_passes == ()
+        request = CompileOptions(wrt="A")
+        assert request.gradient is True and request.wrt == ("A",)
+        assert CompileOptions(output="t", wrt=["A", "B"]).keep == ("t", "A", "B")
+
+    def test_equal_requests_compare_equal(self):
+        assert CompileOptions("O2", wrt="A") == CompileOptions(
+            "O2", gradient=True, wrt=["A"], symbol_values=None, extra_passes=[]
+        )
+        assert CompileOptions("O2", wrt="A") != CompileOptions("O3", wrt="A")
+
+    def test_program_compile_memoizes_on_the_request(self):
+        program = make_program()
+        first = program.compile("O0")
+        assert program.compile("O0") is first
+        assert program.compile("O1") is not first
 
 
 class TestCompilationCache:
@@ -178,6 +207,47 @@ class TestCompilationCache:
         # O0 was evicted: compiling it again misses.
         compile_forward(program, "O0", cache=cache)
         assert cache.stats.hits == 0
+
+    def test_concurrent_lookup_store_evict_never_raises(self):
+        # Eight threads look keys up and store them on a miss, cycling over
+        # more keys than the cache holds, so hits race evictions.  The
+        # entries dict hands the GIL to another thread right after every
+        # ``get``: without one lock around the lookup, a concurrent eviction
+        # lands between ``get`` and ``move_to_end`` and raises KeyError.
+        class YieldingDict(OrderedDict):
+            def get(self, key, default=None):
+                value = super().get(key, default)
+                time.sleep(0)
+                return value
+
+        cache = CompilationCache(maxsize=4)
+        cache._entries = YieldingDict()
+        keys = [("key", index) for index in range(9)]
+        iterations, errors = 500, []
+
+        def worker(offset):
+            try:
+                for step in range(iterations):
+                    key = keys[(step + offset) % len(keys)]
+                    if cache.lookup(key) is None:
+                        cache.store(CacheEntry(key=key, compiled=None, report=None))
+            except Exception as exc:  # noqa: BLE001 - collected and asserted
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(offset,))
+                       for offset in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(cache) <= 4
+        assert cache.stats.hits + cache.stats.misses == 8 * iterations
 
     def test_cache_false_disables_caching(self):
         cache_was = repro.pipeline.DEFAULT_CACHE.stats.lookups
@@ -490,7 +560,7 @@ class TestCustomPasses:
             ctx.note("seen", True)
             return sdfg
 
-        manager = build_pipeline("O0", extra_passes=[noop])
+        manager = build_pipeline(CompileOptions("O0", extra_passes=[noop]))
         outcome = run_pipeline(make_program().to_sdfg(), manager, cache=False)
         assert outcome.report.record_for("noop").info["seen"] is True
 
