@@ -14,6 +14,17 @@ sizes through both backends and gates:
   machine are 30-200x; the 3x gate only guards against the native path
   silently degenerating into the interpreted one.)
 
+It also measures the gradients of the matmul-heavy kernels (k2mm, mlp) at
+paper size, where both backends spend their time in BLAS — NumPy's under
+the NumPy backend, SciPy's ``cython_blas`` inside the C segment under the
+native one — and gates:
+
+* **Correctness** — the gradients agree to 1e-9 of the largest reference
+  entry (float64 k2mm; the float32 mlp gradient, which carries about seven
+  digits, to 1e-5).
+* **Performance** — the native gradient takes at most **1.25x** the NumPy
+  backend's time.
+
 Kernels where the native backend declines and falls back to NumPy are
 reported as such and excluded from the speedup gate (a fallback comparison
 would measure NumPy against itself).
@@ -39,7 +50,7 @@ from _common import write_results
 from repro.harness import copy_data as _copy
 from repro.harness import format_table, geometric_mean
 from repro.npbench import get_kernel
-from repro.pipeline import compile_forward
+from repro.pipeline import compile_forward, compile_gradient
 
 #: Figure-11 loop kernels whose sequential dependences defeat vectorisation.
 KERNELS = ["seidel2d", "durbin", "cholesky", "lu", "gramschmidt"]
@@ -49,6 +60,12 @@ ATOL = 1e-9
 #: The gate: >= SPEEDUP_TARGET on >= MIN_WINS kernels.
 SPEEDUP_TARGET = 3.0
 MIN_WINS = 2
+#: BLAS-bound gradients; the gate: native time <= MAX_GRADIENT_RATIO x NumPy.
+GRADIENT_KERNELS = ["k2mm", "mlp"]
+MAX_GRADIENT_RATIO = 1.25
+GRADIENT_REPEATS = 10
+#: Gradient agreement, relative to the largest reference entry.
+GRADIENT_TOLERANCE = {"float64": 1e-9, "float32": 1e-5}
 
 
 def _have_toolchain() -> bool:
@@ -99,10 +116,41 @@ def bench_kernel(name: str) -> dict:
     return row
 
 
+def bench_gradient(name: str) -> dict:
+    """One kernel's gradient through both backends: agreement + timings."""
+    spec = get_kernel(name)
+    data = spec.data(PRESET)
+    program = spec.program_for(PRESET)
+
+    reference = compile_gradient(program, wrt=[spec.wrt], cache=False)
+    native = compile_gradient(program, wrt=[spec.wrt], cache=False,
+                              backend="cython")
+    assert native.report.backend == "cython", native.report.backend_fallback
+
+    expected = np.asarray(reference.compiled(**_copy(data)))
+    actual = native.compiled(**_copy(data))
+    scale = float(np.max(np.abs(expected)))
+    np.testing.assert_allclose(
+        actual, expected, rtol=0,
+        atol=GRADIENT_TOLERANCE[expected.dtype.name] * scale,
+    )
+
+    numpy_seconds = _time(reference.compiled, data, GRADIENT_REPEATS)
+    native_seconds = _time(native.compiled, data, GRADIENT_REPEATS)
+    return {
+        "kernel": f"{name} (grad)",
+        "preset": PRESET,
+        "numpy_seconds": numpy_seconds,
+        "native_seconds": native_seconds,
+        "ratio": native_seconds / numpy_seconds,
+    }
+
+
 def run_native_benchmark() -> dict:
     rows = [bench_kernel(name) for name in KERNELS]
     measured = [row for row in rows if "speedup" in row]
     speedups = [row["speedup"] for row in measured]
+    gradients = [bench_gradient(name) for name in GRADIENT_KERNELS]
     payload = {
         "preset": PRESET,
         "repeats": REPEATS,
@@ -111,6 +159,8 @@ def run_native_benchmark() -> dict:
         "kernels": rows,
         "wins": sum(1 for s in speedups if s >= SPEEDUP_TARGET),
         "geomean_speedup": geometric_mean(speedups),
+        "max_gradient_ratio": MAX_GRADIENT_RATIO,
+        "gradients": gradients,
     }
     path = write_results("native_backend", payload)
 
@@ -133,8 +183,37 @@ def run_native_benchmark() -> dict:
             f"{payload['wins']}/{len(measured)} kernels >= {SPEEDUP_TARGET:.0f}x)"
         ),
     ))
+    print(format_table(
+        ["gradient", "numpy [ms]", "native [ms]", "native/numpy"],
+        [
+            [row["kernel"], row["numpy_seconds"] * 1e3,
+             row["native_seconds"] * 1e3, row["ratio"]]
+            for row in gradients
+        ],
+        title=(
+            f"BLAS-bound gradients @ {PRESET} sizes "
+            f"(gate: native <= {MAX_GRADIENT_RATIO}x numpy)"
+        ),
+    ))
     print(f"results written to {path}")
     return payload
+
+
+def check_gates(payload: dict) -> None:
+    # At least two loop kernels actually took the native path and beat the
+    # interpreted backend by the target factor.
+    assert payload["wins"] >= MIN_WINS, (
+        f"native backend won on only {payload['wins']} kernels "
+        f"(need >= {MIN_WINS} at {SPEEDUP_TARGET}x)"
+    )
+    # BLAS-bound gradients are no slower native than under NumPy.
+    slow = [row for row in payload["gradients"]
+            if row["ratio"] > MAX_GRADIENT_RATIO]
+    assert not slow, (
+        "native gradient slower than "
+        f"{MAX_GRADIENT_RATIO}x numpy: "
+        + ", ".join(f"{row['kernel']} {row['ratio']:.2f}x" for row in slow)
+    )
 
 
 def test_native_backend_meets_gates():
@@ -142,13 +221,7 @@ def test_native_backend_meets_gates():
 
     if not _have_toolchain():
         pytest.skip("no C compiler on PATH")
-    payload = run_native_benchmark()
-    # At least two loop kernels actually took the native path and beat the
-    # interpreted backend by the target factor.
-    assert payload["wins"] >= MIN_WINS, (
-        f"native backend won on {payload['wins']} kernels, "
-        f"need >= {MIN_WINS} at {SPEEDUP_TARGET}x"
-    )
+    check_gates(run_native_benchmark())
 
 
 if __name__ == "__main__":
@@ -156,8 +229,4 @@ if __name__ == "__main__":
         print("bench_native_backend: skipped (no C compiler on PATH — "
               "install cc/gcc/clang or set $REPRO_CC)")
         raise SystemExit(0)
-    payload = run_native_benchmark()
-    assert payload["wins"] >= MIN_WINS, (
-        f"native backend won on only {payload['wins']} kernels "
-        f"(need >= {MIN_WINS} at {SPEEDUP_TARGET}x)"
-    )
+    check_gates(run_native_benchmark())

@@ -1,11 +1,12 @@
 """The native ("cython") backend: SDFG segments -> C -> ctypes.
 
 Lowers sequential loop nests, scalar tasklets and the library calls with a
-C lowering (rank-1/2 matmuls at any size, full reductions, copies) — the
-shapes where the interpreted NumPy backend pays a Python-level round trip
-per element — to C compiled with the system toolchain, while elements that
-decline (convolutions, batched matmuls, softmax, ...) keep their interpreted
-emission.  Programs outside the
+C lowering (full reductions, copies, rank-1/2 products; matrix-matrix
+products become calls of SciPy's ``cython_blas`` GEMM inside the C
+segment) — the shapes where the interpreted NumPy backend pays a
+Python-level round trip per element — to C compiled with the system
+toolchain, while elements that decline (convolutions, batched matmuls,
+softmax, ...) keep their interpreted emission.  Programs outside the
 supported subset decline with
 :class:`~repro.util.errors.UnsupportedFeatureError`, and the pipeline falls
 back to the NumPy backend per program (recorded in the pipeline report).

@@ -54,9 +54,20 @@ class CLoweringError(Exception):
     """
 
 
-#: Helpers every generated C translation unit starts with.
-C_PRELUDE = """\
+#: Helpers every generated C translation unit starts with.  Besides the
+#: Python-semantics arithmetic helpers it carries the strided row-major GEMM
+#: helpers ``__gemm_f64``/``__gemm_f32`` that 2-D matrix products lower to.
+#: They call the ``dgemm``/``sgemm`` that SciPy publishes in
+#: ``scipy.linalg.cython_blas``; the loader hands the two function pointers
+#: to every artifact through the exported ``__repro_bind_blas`` (nothing
+#: links against BLAS, and no pointer value enters the source or its
+#: digest).  A matrix reaches BLAS when one of its strides is 1 and the
+#: other is a valid leading dimension, and every size fits BLAS's LP64
+#: ``int``; otherwise (or before binding) the helper runs its own strided
+#: loop — the same policy NumPy's matmul follows.
+C_PRELUDE = r"""
 #include <stdint.h>
+#include <limits.h>
 #include <math.h>
 
 static double __sign(double x) { return (double)((x > 0.0) - (x < 0.0)); }
@@ -75,6 +86,82 @@ static int64_t __imod(int64_t a, int64_t b) {
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
 }
+
+typedef void (*__dgemm_t)(char *, char *, int *, int *, int *, double *,
+                          double *, int *, double *, int *, double *,
+                          double *, int *);
+typedef void (*__sgemm_t)(char *, char *, int *, int *, int *, float *,
+                          float *, int *, float *, int *, float *,
+                          float *, int *);
+static __dgemm_t __dgemm = 0;
+static __sgemm_t __sgemm = 0;
+
+void __repro_bind_blas(void *dgemm, void *sgemm) {
+    __dgemm = (__dgemm_t)dgemm;
+    __sgemm = (__sgemm_t)sgemm;
+}
+
+/* How column-major BLAS sees an r x c matrix with strides (rs, cs): 'N'
+   when it is column-major, 'T' when row-major (leading dimension in *ld),
+   0 when neither.  A size-0/1 axis has no meaningful stride, so it never
+   disqualifies a layout and the leading dimension stays >= 1. */
+static char __gemm_layout(int64_t r, int64_t c, int64_t rs, int64_t cs,
+                          int64_t *ld) {
+    int64_t rows = r > 1 ? r : 1, cols = c > 1 ? c : 1;
+    if ((r <= 1 || rs == 1) && (c <= 1 || cs >= rows)) {
+        *ld = c <= 1 ? rows : cs;
+        return *ld <= INT_MAX ? 'N' : 0;
+    }
+    if ((c <= 1 || cs == 1) && (r <= 1 || rs >= cols)) {
+        *ld = r <= 1 ? cols : rs;
+        return *ld <= INT_MAX ? 'T' : 0;
+    }
+    return 0;
+}
+
+/* C[m x n] = A[m x k] B[k x n] (beta = 0) or C += A B (beta = 1), every
+   operand given by a base pointer and its (row, column) element strides. */
+#define __REPRO_GEMM(NAME, T, BLAS)                                          \
+static void NAME(int64_t m, int64_t n, int64_t k,                            \
+                 T *a, int64_t ars, int64_t acs,                             \
+                 T *b, int64_t brs, int64_t bcs,                             \
+                 int beta, T *c, int64_t crs, int64_t ccs) {                 \
+    int64_t lda, ldb, ldc;                                                   \
+    char ta, tb, tc;                                                         \
+    if (m <= 0 || n <= 0) return;                                            \
+    if (k < 0) k = 0;                                                        \
+    ta = __gemm_layout(m, k, ars, acs, &lda);                                \
+    tb = __gemm_layout(k, n, brs, bcs, &ldb);                                \
+    tc = __gemm_layout(m, n, crs, ccs, &ldc);                                \
+    if (BLAS && ta && tb && tc                                               \
+            && m <= INT_MAX && n <= INT_MAX && k <= INT_MAX) {               \
+        int im = (int)m, in = (int)n, ik = (int)k;                           \
+        int ilda = (int)lda, ildb = (int)ldb, ildc = (int)ldc;               \
+        T one = 1, scale = (T)beta;                                          \
+        if (tc == 'N') {                                                     \
+            BLAS(&ta, &tb, &im, &in, &ik, &one, a, &ilda, b, &ildb,          \
+                 &scale, c, &ildc);                                          \
+        } else { /* row-major C: C^T = B^T A^T in column-major terms */      \
+            char fa = ta == 'N' ? 'T' : 'N', fb = tb == 'N' ? 'T' : 'N';     \
+            BLAS(&fb, &fa, &in, &im, &ik, &one, b, &ildb, a, &ilda,          \
+                 &scale, c, &ildc);                                          \
+        }                                                                    \
+        return;                                                              \
+    }                                                                        \
+    for (int64_t i = 0; i < m; i++) {                                        \
+        for (int64_t j = 0; j < n; j++) {                                    \
+            double acc = 0.0;                                                \
+            T *dst = c + i * crs + j * ccs;                                  \
+            for (int64_t l = 0; l < k; l++) {                                \
+                acc += (double)a[i * ars + l * acs]                          \
+                       * (double)b[l * brs + j * bcs];                       \
+            }                                                                \
+            *dst = beta ? (T)(*dst + acc) : (T)acc;                          \
+        }                                                                    \
+    }                                                                        \
+}
+__REPRO_GEMM(__gemm_f64, double, __dgemm)
+__REPRO_GEMM(__gemm_f32, float, __sgemm)
 """
 
 #: Intrinsic name -> libm spelling (double precision).

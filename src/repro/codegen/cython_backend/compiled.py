@@ -18,6 +18,8 @@ exactly.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from typing import Optional
 
 import numpy as np
@@ -40,11 +42,33 @@ from repro.obs.clock import monotonic_ns
 from repro.util.errors import CodegenError, UnsupportedFeatureError
 
 
+@functools.lru_cache(maxsize=None)
+def _blas_pointers() -> tuple[int, int]:
+    """Addresses of ``dgemm``/``sgemm`` from SciPy's ``cython_blas`` C API
+    (read once per process)."""
+    from scipy.linalg.cython_blas import __pyx_capi__ as capi
+
+    get_name = ctypes.pythonapi.PyCapsule_GetName
+    get_name.restype = ctypes.c_char_p
+    get_name.argtypes = [ctypes.py_object]
+    get_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+    get_pointer.restype = ctypes.c_void_p
+    get_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+    return tuple(
+        get_pointer(capi[name], get_name(capi[name])) for name in ("dgemm", "sgemm")
+    )
+
+
 def _native_namespace(library_path: str, kernels: list[CKernel]) -> dict:
     """Runtime namespace of a native driver: the NumPy namespace plus one
-    ctypes trampoline per C kernel."""
+    ctypes trampoline per C kernel.  Every load (fresh build, persisted
+    restore, profiling clone) binds the artifact's GEMM helpers to BLAS."""
     namespace = build_runtime_namespace()
     library = load_library(library_path)
+    bind_blas = library.__repro_bind_blas
+    bind_blas.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+    bind_blas.restype = None
+    bind_blas(*_blas_pointers())
     for kernel in kernels:
         namespace[kernel.name] = make_kernel_callable(library, kernel)
     return namespace
@@ -74,12 +98,14 @@ class NativeCompiledSDFG(CompiledSDFG):
 
     def __init__(self, sdfg: SDFG, source: str, func, result_names: list[str],
                  c_source: str, kernels: list[CKernel], digest: str,
-                 library_path: str) -> None:
+                 library_path: str, decline_reasons: list[str]) -> None:
         super().__init__(sdfg, source, func, result_names)
         self.c_source = c_source
         self.kernels = list(kernels)
         self.digest = digest
         self.library_path = library_path
+        #: Why the elements left to the NumPy driver did not lower to C.
+        self.decline_reasons = list(decline_reasons)
 
     # -- pickling (artifact round-trip) -----------------------------------
     def __getstate__(self) -> dict:
@@ -187,5 +213,5 @@ class CythonBackend(Backend):
         return NativeCompiledSDFG(
             sdfg, source, namespace[func_name], result_names,
             c_source=c_source, kernels=emitter.kernels, digest=digest,
-            library_path=library_path,
+            library_path=library_path, decline_reasons=emitter.decline_reasons,
         )

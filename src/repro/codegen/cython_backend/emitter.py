@@ -7,8 +7,9 @@ fully to C (see :mod:`repro.codegen.cython_backend.lower`).  Each segment
 becomes one C kernel plus a one-line call in the generated Python driver
 (``__native0(A, B, N)``); everything in between — convolutions, batched
 matmuls and every other element that declines to lower — is emitted exactly
-as the parent class would.  (Rank-1/2 matmuls of any size *do* lower, to
-naive C loops; see :mod:`repro.codegen.cython_backend.lower`.)
+as the parent class would.  (Matrix products do lower: a rank-(2, 2)
+``matmul`` becomes a BLAS call inside the segment, so it never splits one;
+see :mod:`repro.codegen.cython_backend.lower`.)
 
 Segmentation happens at two granularities:
 
@@ -21,7 +22,8 @@ Segmentation happens at two granularities:
 
 Elements are probed with a throwaway :class:`KernelBuilder` first, so a
 decline can never leave a half-emitted kernel behind; decline reasons are
-collected for diagnostics (``decline_reasons``).
+collected (``decline_reasons``), kept on the compiled object and reported
+as the codegen stage's ``native_declines`` note.
 """
 
 from __future__ import annotations

@@ -8,11 +8,17 @@ nests and scalar tasklets (the fig11 non-vectorizable shapes, where the
 interpreted backend pays a Python-bytecode round trip per element) become
 plain C loops, and so do the library calls with a C lowering:
 
-* ``matmul`` of ranks (1, 1), (2, 1), (1, 2) and (2, 2) — dot, matrix-vector,
-  vector-matrix and matrix-matrix products — *at any size*, as a naive
-  triple loop with no blocking and no size threshold: a large standalone
-  matmul is lowered too (not left to BLAS), which is why matmul-heavy
-  kernels such as k2mm run several times slower native than under NumPy;
+* ``matmul`` of rank (2, 2) as one call of the prelude's strided GEMM
+  helper (:data:`~repro.codegen.cython_backend.cemit.C_PRELUDE`): each
+  operand's two axes get C strides (slice step times the trailing
+  container dimensions; ``transpose_a``/``transpose_b`` swap them), so
+  windows, slices of 3-D containers and transposed operands reach BLAS
+  ``dgemm``/``sgemm`` with a base offset and a leading dimension, and the
+  helper loops itself when no stride is 1.  Both ``float32`` or both
+  ``float64`` only — other element types decline;
+* ``matmul`` of ranks (1, 1), (2, 1) and (1, 2) — dot, matrix-vector and
+  vector-matrix products — as plain C loops (they sit inside the loop
+  nests of trisolv/cholesky/lu, where a call per step costs more);
 * full reductions (``reduce_sum``/``reduce_max``/``reduce_min`` without
   ``axis`` or ``keepdims``);
 * ``copy``, ``relu`` and ``transpose``.
@@ -416,23 +422,36 @@ class KernelBuilder:
         elif (a.rank, b.rank) == (2, 2):
             if out.rank != 2:
                 raise CLoweringError("matrix product with bad output rank")
-            m = self._fresh("i")
-            self._open_loop_over(m, a.axis_length(0))
-            n = self._fresh("i")
-            self._open_loop_over(n, b.axis_length(1))
-            self.line(f"double {acc} = 0.0;")
-            k = self._fresh("i")
-            self._open_loop_over(k, a.axis_length(1))
-            self.line(
-                f"{acc} += ((double){a.ref([m, k])}) * ((double){b.ref([k, n])});"
-            )
-            self._close()
-            self._store(out, [m, n], acc, accumulate)
-            self._close(2)
+            self._call_gemm(a, b, out, accumulate)
         else:
             raise CLoweringError(
                 f"matmul ranks ({a.rank}, {b.rank}) have no C lowering (batched)"
             )
+
+    def _call_gemm(self, a: "_View", b: "_View", out: "_View",
+                   accumulate: bool) -> None:
+        """One call of the prelude's strided GEMM helper (BLAS when the
+        strides allow, its own loop otherwise)."""
+        element_types = {self.array_args[view.data][1] for view in (a, b, out)}
+        if element_types not in ({"double"}, {"float"}):
+            names = sorted(
+                str(np.dtype(self.sdfg.arrays[view.data].dtype))
+                for view in (a, b, out)
+            )
+            raise CLoweringError(
+                f"matrix product over {'/'.join(names)} has no BLAS lowering "
+                "(needs one float32 or float64 element type)"
+            )
+        helper = "__gemm_f64" if element_types == {"double"} else "__gemm_f32"
+        a_rs, a_cs = a.strides()
+        b_rs, b_cs = b.strides()
+        c_rs, c_cs = out.strides()
+        self.line(
+            f"{helper}({a.axis_length(0)}, {b.axis_length(1)}, "
+            f"{a.axis_length(1)}, {a.base()}, {a_rs}, {a_cs}, "
+            f"{b.base()}, {b_rs}, {b_cs}, {int(accumulate)}, "
+            f"{out.base()}, {c_rs}, {c_cs});"
+        )
 
     def _open_loop_over(self, cvar: str, length: str) -> None:
         self.line(f"for (int64_t {cvar} = 0; {cvar} < {length}; {cvar}++) {{")
@@ -573,6 +592,25 @@ class _View:
 
     def axis_length(self, axis: int) -> str:
         return self.dims[self._axis_positions[axis]][3]
+
+    def base(self) -> str:
+        """C pointer to the view's first element."""
+        return f"&{self.ref(['0'] * self.rank)}"
+
+    def strides(self) -> list[str]:
+        """C element stride of each iterable axis: the slice step times the
+        product of the container's trailing dimensions (row-major)."""
+        shape = self.builder.sdfg.arrays[self.data].shape_exprs()
+        strides = []
+        for position in self._axis_positions:
+            step = self.dims[position][2]
+            factors = [] if step == Const(1) else [self.builder.expr.index(step)]
+            factors += [
+                self.builder.expr.index(simplify(size))
+                for size in shape[position + 1:]
+            ]
+            strides.append(" * ".join(factors) if factors else "1")
+        return strides
 
     def ref(self, axis_vars: list[str]) -> str:
         if len(axis_vars) != self.rank:

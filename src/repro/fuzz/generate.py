@@ -695,6 +695,33 @@ def hard_templates() -> list[FuzzProgram]:
         data_seed=110,
     ))
 
+    # 11. Matrix-product operand layouts the native backend hands to BLAS
+    #     with a base offset and a leading dimension: a row window times a
+    #     column window, a step-2 row slice times a transposed operand, and
+    #     a per-slice product of a 3-D container inside a loop (doitgen).
+    full = SliceItem()
+    programs.append(_template(
+        "seed_blas_layouts", "float64",
+        [ArgSpec("a", (N, M)), ArgSpec("b", (M, N)), ArgSpec("c", (dim(7), M)),
+         ArgSpec("x", (dim(3), M, M)), ArgSpec("w", (M, M))],
+        {"N": 6, "M": 5},
+        [
+            SAssign("p", MatMul(SliceRead("a", (SliceItem(1, 0), full)),
+                                SliceRead("b", (full, SliceItem(0, -1))))),
+            SAssign("q", MatMul(SliceRead("c", (SliceItem(step=2), full)),
+                                Transpose(Ref("a")))),
+            SAssign("y", Zeros(shape=(dim(3), M, M))),
+            SFor("r", 0, 3, [SSliceWrite(
+                "y", (IndexItem("r"), full, full),
+                MatMul(SliceRead("x", (IndexItem("r"), full, full)),
+                       Ref("w")))]),
+            SReturn(Bin("+", Bin("+", Reduce("sum", Un("tanh", Ref("p"))),
+                                 Reduce("sum", Un("sin", Ref("q")))),
+                        Reduce("sum", Un("tanh", Ref("y"))))),
+        ],
+        data_seed=111,
+    ))
+
     return programs
 
 

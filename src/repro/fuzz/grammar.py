@@ -88,23 +88,31 @@ def broadcast(a: Shape, b: Shape) -> Shape:
 # --------------------------------------------------------------- subscripts
 @dataclass(frozen=True)
 class SliceItem:
-    """A constant-offset slice ``lo : -hi`` of one dimension.
+    """A constant-offset slice ``lo : -hi`` (``: step``) of one dimension.
 
     ``lo >= 0`` trims from the start, ``hi <= 0`` trims from the end
     (``0`` = open end) — exactly the stencil-window reads the fusion passes
-    reason about (``A[1:]``, ``A[:-2]``, ``A[1:-1]``, ...).
+    reason about (``A[1:]``, ``A[:-2]``, ``A[1:-1]``, ...).  A positive
+    ``step`` other than 1 (``A[::2]``) needs a concrete dimension, since its
+    length is not a symbol plus an offset.
     """
 
     lo: int = 0
     hi: int = 0
+    step: int = 1
 
     def text(self) -> str:
         lo = str(self.lo) if self.lo else ""
         hi = str(self.hi) if self.hi else ""
-        return f"{lo}:{hi}"
+        step = f":{self.step}" if self.step != 1 else ""
+        return f"{lo}:{hi}{step}"
 
     def out_dim(self, d: Dim) -> Dim:
-        return (d[0], d[1] - self.lo + self.hi)
+        if self.step == 1:
+            return (d[0], d[1] - self.lo + self.hi)
+        if d[0] is not None:
+            raise ValueError(f"step-{self.step} slice of symbolic dimension {d}")
+        return (None, -(-(d[1] - self.lo + self.hi) // self.step))
 
 
 @dataclass(frozen=True)

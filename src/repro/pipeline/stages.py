@@ -312,22 +312,17 @@ class Codegen(Pass):
     emitter, or a missing C toolchain — triggers a clean per-program
     fallback to the numpy backend; the report records both the backend that
     actually ran (``backend``) and the fallback event (``backend_fallback``,
-    e.g. ``cython→numpy: UnsupportedFeatureError(...)``).  The backend name
-    is part of the pass fingerprint, so the same program compiled under two
-    backends occupies two distinct compilation-cache entries.
+    e.g. ``cython→numpy: UnsupportedFeatureError(...)``).  When the native
+    backend lowers only part of the program, ``native_declines`` lists why
+    the rest stayed with the NumPy driver.  The backend name is part of the
+    pass fingerprint, so the same program compiled under two backends
+    occupies two distinct compilation-cache entries.
     """
 
     name = "codegen"
 
-    def __init__(
-        self,
-        func_name: Optional[str] = None,
-        result_names: Optional[list[str]] = None,
-        return_value: bool = False,
-        backend: Optional[str] = None,
-    ) -> None:
-        self.func_name = func_name
-        self.result_names = result_names
+    def __init__(self, return_value: bool = False,
+                 backend: Optional[str] = None) -> None:
         self.return_value = return_value
         self.backend = backend
 
@@ -335,20 +330,15 @@ class Codegen(Pass):
         from repro.obs.trace import span as _span
 
         backward = ctx.artifacts.get("backward")
-        func_name = self.func_name
-        result_names = self.result_names
+        func_name = result_names = None  # forward: the emitter's defaults
         if backward is not None:
             # Gradient compile: results are the gradient containers (and the
             # forward value with return_value=True), mirroring the legacy
             # GradientFunction layout exactly.
-            if func_name is None:
-                func_name = f"__grad_{sdfg.name}"
-            if result_names is None:
-                result_names = [
-                    backward.gradient_names[name] for name in backward.gradient_names
-                ]
-                if self.return_value:
-                    result_names = result_names + [backward.output]
+            func_name = f"__grad_{sdfg.name}"
+            result_names = list(backward.gradient_names.values())
+            if self.return_value:
+                result_names.append(backward.output)
         with _span("codegen.build", sdfg=sdfg.name,
                    backend=self.backend or "numpy") as sp:
             compiled = self._compile(sdfg, ctx, func_name, result_names)
@@ -356,6 +346,9 @@ class Codegen(Pass):
         ctx.artifacts["compiled"] = compiled
         ctx.note("backend", compiled.backend)
         ctx.note("source_lines", compiled.source.count("\n") + 1)
+        declines = getattr(compiled, "decline_reasons", None)
+        if declines:
+            ctx.note("native_declines", tuple(declines))
         return sdfg
 
     def _compile(self, sdfg: SDFG, ctx: PassContext, func_name, result_names):
@@ -388,13 +381,7 @@ class Codegen(Pass):
             )
 
     def fingerprint(self) -> tuple:
-        return (
-            self.name,
-            self.func_name,
-            tuple(self.result_names) if self.result_names is not None else None,
-            self.return_value,
-            self.backend,
-        )
+        return (self.name, self.return_value, self.backend)
 
 
 def _resolve_strategy(spec):

@@ -20,9 +20,11 @@ from repro.fuzz.grammar import (
     SAssign,
     SFor,
     SIf,
+    SliceItem,
     SReturn,
     SSliceWrite,
     Zeros,
+    dim,
     iter_statements,
     walk,
 )
@@ -106,7 +108,8 @@ class TestCoverage:
         for expected in ("seed_hdiff_partial_window", "seed_smooth_chain",
                          "seed_branch_between_producer_consumer",
                          "seed_data_branch", "seed_shared_operand_chain",
-                         "seed_gauss_seidel", "seed_matmul_relu_softmax"):
+                         "seed_gauss_seidel", "seed_matmul_relu_softmax",
+                         "seed_blas_layouts"):
             assert expected in names
 
     def test_templates_run_before_random_programs(self):
@@ -117,6 +120,15 @@ class TestCoverage:
 
 
 class TestRendering:
+    def test_step_slices_render_and_need_concrete_dimensions(self):
+        item = SliceItem(step=2)
+        assert item.text() == "::2"
+        assert SliceItem(1, -1).text() == "1:-1"
+        assert item.out_dim(dim(7)) == dim(4)
+        assert SliceItem(1, 0, 2).out_dim(dim(7)) == dim(3)
+        with pytest.raises(ValueError):
+            item.out_dim(dim("N"))
+
     def test_dual_renderings_share_structure(self):
         program = hard_templates()[0]
         repro_src = render_repro_source(program)

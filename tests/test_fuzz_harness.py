@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.jaxlike import numpy_api
+from repro.codegen.cython_backend import find_c_compiler
 from repro.fuzz import (
     CaseSpec,
     Config,
@@ -45,6 +46,15 @@ class TestOutcomes:
             Config("O1", "vmap_grad", "numpy"),
         ])
         assert [o.status for o in outcomes] == ["ok"] * 5
+
+    def test_blas_layout_template_is_ok_on_the_full_matrix(self):
+        """Windows, a step-2 slice, a transposed operand and per-slice
+        products of a 3-D container all agree with the oracle, and the
+        native configurations run without falling back."""
+        outcomes = run_case(CaseSpec.from_program(_template("seed_blas_layouts")))
+        assert [o.status for o in outcomes] == ["ok"] * 32
+        if find_c_compiler() is not None:
+            assert not [o for o in outcomes if o.backend_fallback]
 
     def test_data_branch_skips_under_vmap_with_reason(self):
         """Per-sample control flow is declined, not silently miscompiled."""
